@@ -1,11 +1,8 @@
 #include "service/sweep_wire.hh"
 
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <type_traits>
 
-#include "mem/addr.hh"
 #include "sim/json.hh"
 #include "sim/version.hh"
 #include "virt/sched_sim.hh"
@@ -14,261 +11,16 @@
 namespace vsnoop
 {
 
-bool
-parsePolicyToken(const std::string &token, PolicyKind *out)
-{
-    if (token == "tokenb")
-        *out = PolicyKind::TokenB;
-    else if (token == "vsnoop")
-        *out = PolicyKind::VirtualSnoop;
-    else if (token == "region")
-        *out = PolicyKind::IdealRegionFilter;
-    else
-        return false;
-    return true;
-}
-
-bool
-parseRelocationToken(const std::string &token, RelocationMode *out)
-{
-    if (token == "base")
-        *out = RelocationMode::Base;
-    else if (token == "counter")
-        *out = RelocationMode::Counter;
-    else if (token == "counter-threshold")
-        *out = RelocationMode::CounterThreshold;
-    else if (token == "counter-flush")
-        *out = RelocationMode::CounterFlush;
-    else
-        return false;
-    return true;
-}
-
-bool
-parseRoPolicyToken(const std::string &token, RoPolicy *out)
-{
-    if (token == "broadcast")
-        *out = RoPolicy::Broadcast;
-    else if (token == "memory-direct")
-        *out = RoPolicy::MemoryDirect;
-    else if (token == "intra-vm")
-        *out = RoPolicy::IntraVm;
-    else if (token == "friend-vm")
-        *out = RoPolicy::FriendVm;
-    else
-        return false;
-    return true;
-}
-
 namespace
 {
 
-/**
- * The wire-settable configuration, in run-record order.  Shared by
- * the serializer and the parser so the two cannot drift.
- */
+/** The wire-settable configuration, in record order. */
 void
-writeWireConfig(JsonWriter &json, const SystemConfig &c)
+writeWireConfig(JsonWriter &json, const SystemConfig &config)
 {
     json.key("config").beginObject();
-    json.key("mesh_width").value(c.mesh.width);
-    json.key("mesh_height").value(c.mesh.height);
-    json.key("ideal_network").value(c.idealNetwork);
-    json.key("vms").value(c.numVms);
-    json.key("vcpus_per_vm").value(c.vcpusPerVm);
-    json.key("l2_bytes").value(c.l2.sizeBytes);
-    json.key("l1_bytes").value(c.l2.l1SizeBytes);
-    json.key("accesses_per_vcpu").value(c.accessesPerVcpu);
-    json.key("warmup_accesses_per_vcpu").value(c.warmupAccessesPerVcpu);
-    json.key("migration_period").value(c.migrationPeriod);
-    json.key("counter_threshold").value(c.vsnoop.counterThreshold);
-    json.key("region_bytes").value(c.regionBytes);
-    json.key("crossbar_latency").value(c.crossbarLatency);
-    json.key("link_bytes").value(c.mesh.linkBytes);
-    json.key("router_pipeline").value(c.mesh.routerPipeline);
-    json.key("link_latency").value(c.mesh.linkLatency);
-    json.key("l1_latency").value(c.protocol.l1Latency);
-    json.key("l2_latency").value(c.protocol.l2Latency);
-    json.key("mem_latency").value(c.protocol.memLatency);
-    json.key("retry_window").value(c.protocol.retryWindow);
-    json.key("max_transient_attempts")
-        .value(c.protocol.maxTransientAttempts);
-    json.key("persistent_window").value(c.protocol.persistentWindow);
-    json.key("broadcast_attempt").value(c.vsnoop.broadcastAttempt);
-    json.key("map_sync_bytes").value(c.vsnoop.mapSyncBytes);
-    json.key("ro_token_bundle").value(c.vsnoop.roTokenBundle);
-    json.key("content_scan").value(c.contentScan);
-    json.key("content_scan_period").value(c.contentScanPeriod);
-    json.key("timeseries_interval").value(c.timeseriesInterval);
-    json.key("tag_lookup_cycles").value(c.protocol.tagLookupCycles);
-    json.key("perf").value(c.perf);
-    json.key("perf_sample_interval").value(c.perfSampleInterval);
-    json.key("pages").value(c.pages);
-    json.key("pages_top").value(c.pagesTop);
+    writeConfigFields(json, config, kWireConfig);
     json.endObject();
-}
-
-bool
-toU64(const JsonValue &v, std::uint64_t *out)
-{
-    if (!v.isNumber())
-        return false;
-    double d = v.number();
-    // 2^53: the largest range where doubles hold integers exactly.
-    if (d < 0 || d != std::floor(d) || d > 9007199254740992.0)
-        return false;
-    *out = static_cast<std::uint64_t>(d);
-    return true;
-}
-
-bool
-toU32(const JsonValue &v, std::uint32_t *out)
-{
-    std::uint64_t u;
-    if (!toU64(v, &u) || u > 0xffffffffull)
-        return false;
-    *out = static_cast<std::uint32_t>(u);
-    return true;
-}
-
-bool
-toBool(const JsonValue &v, bool *out)
-{
-    if (v.kind() != JsonValue::Kind::Bool)
-        return false;
-    *out = v.boolean();
-    return true;
-}
-
-bool
-applyConfigMember(const std::string &key, const JsonValue &v,
-                  SystemConfig *c)
-{
-    if (key == "mesh_width") return toU32(v, &c->mesh.width);
-    if (key == "mesh_height") return toU32(v, &c->mesh.height);
-    if (key == "ideal_network") return toBool(v, &c->idealNetwork);
-    if (key == "vms") return toU32(v, &c->numVms);
-    if (key == "vcpus_per_vm") return toU32(v, &c->vcpusPerVm);
-    if (key == "l2_bytes") return toU64(v, &c->l2.sizeBytes);
-    if (key == "l1_bytes") return toU64(v, &c->l2.l1SizeBytes);
-    if (key == "accesses_per_vcpu")
-        return toU64(v, &c->accessesPerVcpu);
-    if (key == "warmup_accesses_per_vcpu")
-        return toU64(v, &c->warmupAccessesPerVcpu);
-    if (key == "migration_period")
-        return toU64(v, &c->migrationPeriod);
-    if (key == "counter_threshold")
-        return toU64(v, &c->vsnoop.counterThreshold);
-    if (key == "region_bytes") return toU64(v, &c->regionBytes);
-    if (key == "crossbar_latency")
-        return toU64(v, &c->crossbarLatency);
-    if (key == "link_bytes") return toU32(v, &c->mesh.linkBytes);
-    if (key == "router_pipeline")
-        return toU64(v, &c->mesh.routerPipeline);
-    if (key == "link_latency") return toU64(v, &c->mesh.linkLatency);
-    if (key == "l1_latency") return toU64(v, &c->protocol.l1Latency);
-    if (key == "l2_latency") return toU64(v, &c->protocol.l2Latency);
-    if (key == "mem_latency") return toU64(v, &c->protocol.memLatency);
-    if (key == "retry_window")
-        return toU64(v, &c->protocol.retryWindow);
-    if (key == "max_transient_attempts")
-        return toU32(v, &c->protocol.maxTransientAttempts);
-    if (key == "persistent_window")
-        return toU64(v, &c->protocol.persistentWindow);
-    if (key == "broadcast_attempt")
-        return toU32(v, &c->vsnoop.broadcastAttempt);
-    if (key == "map_sync_bytes")
-        return toU32(v, &c->vsnoop.mapSyncBytes);
-    if (key == "ro_token_bundle")
-        return toU32(v, &c->vsnoop.roTokenBundle);
-    if (key == "content_scan") return toBool(v, &c->contentScan);
-    if (key == "content_scan_period")
-        return toU64(v, &c->contentScanPeriod);
-    if (key == "timeseries_interval")
-        return toU64(v, &c->timeseriesInterval);
-    if (key == "tag_lookup_cycles")
-        return toU64(v, &c->protocol.tagLookupCycles);
-    if (key == "perf") return toBool(v, &c->perf);
-    if (key == "perf_sample_interval")
-        return toU64(v, &c->perfSampleInterval);
-    if (key == "pages") return toBool(v, &c->pages);
-    if (key == "pages_top") {
-        if (!toU32(v, &c->pagesTop) || c->pagesTop == 0)
-            return false;
-        return true;
-    }
-    return false;
-}
-
-bool
-isKnownConfigKey(const std::string &key)
-{
-    // applyConfigMember() cannot distinguish "unknown key" from
-    // "known key, wrong type", so known keys are listed explicitly
-    // (same order as the serializer).
-    static const char *const kKeys[] = {
-        "mesh_width", "mesh_height", "ideal_network", "vms",
-        "vcpus_per_vm", "l2_bytes", "l1_bytes", "accesses_per_vcpu",
-        "warmup_accesses_per_vcpu", "migration_period",
-        "counter_threshold", "region_bytes", "crossbar_latency",
-        "link_bytes", "router_pipeline", "link_latency", "l1_latency",
-        "l2_latency", "mem_latency", "retry_window",
-        "max_transient_attempts", "persistent_window",
-        "broadcast_attempt", "map_sync_bytes", "ro_token_bundle",
-        "content_scan", "content_scan_period", "timeseries_interval",
-        "tag_lookup_cycles", "perf", "perf_sample_interval",
-        "pages", "pages_top",
-    };
-    for (const char *known : kKeys)
-        if (key == known)
-            return true;
-    return false;
-}
-
-/**
- * Reject configurations the simulator would abort on (its
- * constructors assert), plus service-level sanity bounds, before
- * they reach a worker thread.
- */
-bool
-validateConfig(const SystemConfig &c, std::string *error)
-{
-    auto fail = [&](const std::string &msg) {
-        if (error)
-            *error = msg;
-        return false;
-    };
-    if (c.mesh.width < 1 || c.mesh.height < 1)
-        return fail("mesh_width and mesh_height must be at least 1");
-    if (c.mesh.width > 64 || c.mesh.height > 64)
-        return fail("mesh dimensions above 64x64 are not served");
-    if (c.mesh.linkBytes < 1)
-        return fail("link_bytes must be at least 1");
-    if (c.numVms < 1 || c.vcpusPerVm < 1)
-        return fail("vms and vcpus_per_vm must be at least 1");
-    std::uint64_t vcpus =
-        std::uint64_t(c.numVms) * std::uint64_t(c.vcpusPerVm);
-    if (vcpus > c.numCores())
-        return fail("overcommitted: " + std::to_string(vcpus) +
-                    " vCPUs on " + std::to_string(c.numCores()) +
-                    " cores");
-    // The L2 asserts lines >= ways and lines % ways == 0.
-    std::uint64_t l2_granule = kLineBytes * 8 /* ways */;
-    if (c.l2.sizeBytes < l2_granule || c.l2.sizeBytes % l2_granule != 0)
-        return fail("l2_bytes must be a positive multiple of " +
-                    std::to_string(l2_granule));
-    std::uint64_t l1_granule = kLineBytes * 4 /* l1 ways */;
-    if (c.l2.l1SizeBytes != 0 &&
-        (c.l2.l1SizeBytes < l1_granule ||
-         c.l2.l1SizeBytes % l1_granule != 0))
-        return fail("l1_bytes must be 0 or a positive multiple of " +
-                    std::to_string(l1_granule));
-    if (c.regionBytes < kLineBytes)
-        return fail("region_bytes must be at least " +
-                    std::to_string(kLineBytes));
-    if (c.accessesPerVcpu < 1)
-        return fail("accesses_per_vcpu must be at least 1");
-    return true;
 }
 
 } // namespace
@@ -282,18 +34,15 @@ writeSweepRequestJson(const SweepMatrix &matrix, const std::string &label)
     for (const std::string &app : matrix.apps)
         json.value(app);
     json.endArray();
-    json.key("policies").beginArray();
-    for (PolicyKind policy : matrix.policies)
-        json.value(policyKindName(policy));
-    json.endArray();
-    json.key("relocations").beginArray();
-    for (RelocationMode mode : matrix.relocations)
-        json.value(relocationModeToken(mode));
-    json.endArray();
-    json.key("ro_policies").beginArray();
-    for (RoPolicy policy : matrix.roPolicies)
-        json.value(roPolicyToken(policy));
-    json.endArray();
+    auto writeAxis = [&](const char *name, const auto &axis) {
+        json.key(name).beginArray();
+        for (auto value : axis)
+            json.value(enumToken(value));
+        json.endArray();
+    };
+    writeAxis("policies", matrix.policies);
+    writeAxis("relocations", matrix.relocations);
+    writeAxis("ro_policies", matrix.roPolicies);
     json.key("seeds").beginArray();
     for (std::uint64_t seed : matrix.seeds)
         json.value(seed);
@@ -330,8 +79,7 @@ parseSweepRequest(const JsonValue &root, SweepRequest *out,
         req.matrix.apps.push_back(item.string());
     }
 
-    auto parseAxis = [&](const char *name, auto parseToken,
-                         auto *axis) {
+    auto parseAxis = [&](const char *name, auto *axis) {
         const JsonValue *node = root.find(name);
         if (node == nullptr)
             return true; // keep the SweepMatrix default
@@ -346,18 +94,16 @@ parseSweepRequest(const JsonValue &root, SweepRequest *out,
                             "\" entries must be strings");
             typename std::remove_reference_t<decltype(*axis)>::
                 value_type value{};
-            if (!parseToken(item.string(), &value))
+            if (!parseEnumToken(item.string(), &value))
                 return fail("unknown " + std::string(name) +
                             " token '" + item.string() + "'");
             axis->push_back(value);
         }
         return true;
     };
-    if (!parseAxis("policies", parsePolicyToken, &req.matrix.policies) ||
-        !parseAxis("relocations", parseRelocationToken,
-                   &req.matrix.relocations) ||
-        !parseAxis("ro_policies", parseRoPolicyToken,
-                   &req.matrix.roPolicies))
+    if (!parseAxis("policies", &req.matrix.policies) ||
+        !parseAxis("relocations", &req.matrix.relocations) ||
+        !parseAxis("ro_policies", &req.matrix.roPolicies))
         return false;
 
     const JsonValue *seeds = root.find("seeds");
@@ -368,7 +114,7 @@ parseSweepRequest(const JsonValue &root, SweepRequest *out,
         req.matrix.seeds.clear();
         for (const JsonValue &item : seeds->items()) {
             std::uint64_t seed;
-            if (!toU64(item, &seed))
+            if (!jsonToU64(item, &seed))
                 return fail("\"seeds\" entries must be non-negative "
                             "integers");
             req.matrix.seeds.push_back(seed);
@@ -386,13 +132,8 @@ parseSweepRequest(const JsonValue &root, SweepRequest *out,
     if (config != nullptr) {
         if (!config->isObject())
             return fail("\"config\" must be an object");
-        for (const auto &[key, value] : config->members()) {
-            if (!isKnownConfigKey(key))
-                return fail("unknown config key \"" + key + "\"");
-            if (!applyConfigMember(key, value, &req.matrix.base))
-                return fail("config key \"" + key +
-                            "\" has the wrong type");
-        }
+        if (!readWireConfig(*config, &req.matrix.base, error))
+            return false;
     }
 
     if (root.find("trace_dir") != nullptr)
@@ -421,41 +162,13 @@ runCacheKey(const SystemConfig &config, const std::string &app)
     json.key("version").value(toolVersion());
     json.key("git").value(gitDescribe());
     json.key("app").value(app);
-    json.key("policy").value(policyKindName(config.policy));
-    json.key("relocation")
-        .value(relocationModeToken(config.vsnoop.relocation));
-    json.key("ro_policy").value(roPolicyToken(config.vsnoop.roPolicy));
-    json.key("seed").value(config.seed);
+    writeConfigFields(json, config, kRunIdentity);
     writeWireConfig(json, config);
-    // Everything run bytes can depend on beyond the wire config:
-    // fields only reachable through the C++ API.  Keying them too
-    // means a direct-API caller with a customized base can never be
-    // served another configuration's record.
+    // Everything else run bytes can depend on: fields only the C++
+    // API reaches, so a direct-API caller with a customized base can
+    // never be served another configuration's record.
     json.key("extra").beginObject();
-    json.key("l2_ways").value(config.l2.ways);
-    json.key("l1_ways").value(config.l2.l1Ways);
-    json.key("local_latency").value(config.mesh.localLatency);
-    json.key("mem_token_latency").value(config.protocol.memTokenLatency);
-    json.key("control_bytes").value(config.protocol.controlBytes);
-    json.key("data_bytes").value(config.protocol.dataBytes);
-    json.key("hypervisor_pages").value(config.hypervisor.hypervisorPages);
-    json.key("per_vm_shared_pages")
-        .value(config.hypervisor.perVmSharedPages);
-    json.key("channel_pages").value(config.hypervisor.channelPages);
-    json.key("trace_ticks_per_ms").value(config.traceTicksPerMs);
-    json.key("invariant_check_period")
-        .value(config.invariantCheckPeriod);
-    json.key("capture_trace").value(config.captureTrace);
-    json.key("trace_limit")
-        .value(static_cast<std::uint64_t>(config.traceLimit));
-    // Watchpoints filter the trace (and are API-only), so two runs
-    // differing only in watch set must not share a cache entry.
-    if (!config.watchPages.empty()) {
-        json.key("watch_pages").beginArray();
-        for (std::uint64_t page : config.watchPages)
-            json.value(page);
-        json.endArray();
-    }
+    writeConfigFields(json, config, kKeyExtra);
     // A placement trace changes run behavior; hash its contents so
     // two different traces never alias one key.
     if (config.placementTrace != nullptr) {

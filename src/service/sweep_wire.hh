@@ -4,12 +4,14 @@
  *
  * The job API (src/service/job_api.hh) accepts a sweep matrix as
  * one JSON object; this header owns that format and the canonical
- * cache key the ResultStore is addressed by.  The "config" object
- * of a submission uses exactly the key names of the "config" block
- * in run records (system/run_result.cc), so a config copied out of
+ * cache key the ResultStore is addressed by.  Both are generated
+ * from the one SystemConfig field table (system/config_fields.hh):
+ * the "config" object of a submission uses exactly the key names of
+ * the "config" block in run records, so a config copied out of
  * archived sweep output resubmits as-is.  Unknown config keys are
  * rejected rather than ignored — a typoed knob silently falling
- * back to a default would poison the cache with mislabeled runs.
+ * back to a default would poison the cache with mislabeled runs —
+ * and so is any config validateConfig() refuses.
  *
  * The cache key is a canonical compact JSON rendering of everything
  * that can change a run record's bytes: the full resolved
@@ -44,18 +46,6 @@ struct SweepRequest
 };
 
 /**
- * @{ Parse a CLI/JSON token into the matching enum; false (output
- * untouched) on an unknown token.  Tokens are the run-record values
- * ("tokenb" | "vsnoop" | "region", "base" | "counter" |
- * "counter-threshold" | "counter-flush", "broadcast" |
- * "memory-direct" | "intra-vm" | "friend-vm").
- */
-bool parsePolicyToken(const std::string &token, PolicyKind *out);
-bool parseRelocationToken(const std::string &token, RelocationMode *out);
-bool parseRoPolicyToken(const std::string &token, RoPolicy *out);
-/** @} */
-
-/**
  * Serialize @p matrix (and an optional @p label) as a submission
  * document: {"apps":[...],"policies":[...],"relocations":[...],
  * "ro_policies":[...],"seeds":[...],"label":...,"config":{...}}.
@@ -69,9 +59,10 @@ std::string writeSweepRequestJson(const SweepMatrix &matrix,
  * Parse a submission document into @p out.  Returns false with a
  * one-line @p error on a malformed document: missing/empty "apps",
  * an unknown app name, a bad enum token, an unknown config key, a
- * mistyped value, or a config the simulator would reject (zero
- * mesh, more vCPUs than cores, ...).  Absent axes keep SweepMatrix
- * defaults; absent config keys keep SystemConfig defaults.
+ * mistyped value, or a config validateConfig() rejects (zero mesh,
+ * more than 64 cores, more vCPUs than cores, ...).  Absent axes
+ * keep SweepMatrix defaults; absent config keys keep SystemConfig
+ * defaults.
  */
 bool parseSweepRequest(const JsonValue &root, SweepRequest *out,
                        std::string *error);

@@ -19,6 +19,7 @@
 
 #include <string>
 
+#include "system/config_fields.hh"
 #include "system/energy.hh"
 #include "system/sim_system.hh"
 
@@ -26,19 +27,6 @@ namespace vsnoop
 {
 
 class JsonWriter;
-
-/** Human-readable name of a PolicyKind ("tokenb", "vsnoop", ...). */
-const char *policyKindName(PolicyKind kind);
-
-/**
- * @{ Machine tokens for the JSON schema: identical to the CLI flag
- * values ("base", "counter-threshold", "intra-vm", ...), unlike
- * the mixed-case display names in core/vsnoop.hh, so sweep output
- * round-trips into sweep flags.
- */
-const char *relocationModeToken(RelocationMode mode);
-const char *roPolicyToken(RoPolicy policy);
-/** @} */
 
 /**
  * One run's complete, self-describing result record.

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -80,6 +81,255 @@ awaitTerminal(JobQueue &queue, std::uint64_t id)
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
+}
+
+// ---------------------------------------------------------------
+// Config field table and wire format
+// ---------------------------------------------------------------
+
+/** @p text from the first @p from up to (not including) @p to. */
+std::string
+slice(const std::string &text, const std::string &from,
+      const std::string &to = "")
+{
+    std::size_t a = text.find(from);
+    std::size_t b = to.empty() ? text.size() : text.find(to, a);
+    if (a == std::string::npos || b == std::string::npos)
+        return "<missing " + from + ">";
+    return text.substr(a, b - a);
+}
+
+/** A record's identity and config block (provenance aside). */
+std::string
+recordConfig(const SystemConfig &config)
+{
+    RunResult run;
+    run.app = "ferret";
+    run.config = config;
+    return slice(run.toJson(), "\"app\"", ",\"results\"");
+}
+
+/** Every table field set to a valid non-default value. */
+SystemConfig
+everyFieldConfig()
+{
+    SystemConfig c;
+    c.policy = PolicyKind::IdealRegionFilter;
+    c.vsnoop.relocation = RelocationMode::CounterFlush;
+    c.vsnoop.roPolicy = RoPolicy::FriendVm;
+    c.seed = 7;
+    c.mesh.width = 2;
+    c.mesh.height = 3;
+    c.idealNetwork = true;
+    c.numVms = 2;
+    c.vcpusPerVm = 3;
+    c.l2.sizeBytes = 65536;
+    c.l2.l1SizeBytes = 16384;
+    c.accessesPerVcpu = 1234;
+    c.warmupAccessesPerVcpu = 321;
+    c.migrationPeriod = 20000;
+    c.vsnoop.counterThreshold = 5;
+    c.regionBytes = 128;
+    c.crossbarLatency = 9;
+    c.mesh.linkBytes = 32;
+    c.mesh.routerPipeline = 5;
+    c.mesh.linkLatency = 2;
+    c.protocol.l1Latency = 3;
+    c.protocol.l2Latency = 11;
+    c.protocol.memLatency = 81;
+    c.protocol.retryWindow = 401;
+    c.protocol.maxTransientAttempts = 5;
+    c.protocol.persistentWindow = 601;
+    c.vsnoop.broadcastAttempt = 4;
+    c.vsnoop.mapSyncBytes = 16;
+    c.vsnoop.roTokenBundle = 5;
+    c.contentScan = false;
+    c.contentScanPeriod = 30000;
+    c.timeseriesInterval = 5000;
+    c.protocol.tagLookupCycles = 4;
+    c.perf = true;
+    c.perfSampleInterval = 2000;
+    c.pages = true;
+    c.pagesTop = 8;
+    c.l2.ways = 16;
+    c.l2.l1Ways = 8;
+    c.mesh.localLatency = 2;
+    c.protocol.memTokenLatency = 7;
+    c.protocol.controlBytes = 9;
+    c.protocol.dataBytes = 80;
+    c.hypervisor.hypervisorPages = 65;
+    c.hypervisor.perVmSharedPages = 17;
+    c.hypervisor.channelPages = 9;
+    c.traceTicksPerMs = 12345.5;
+    c.invariantCheckPeriod = 100;
+    c.captureTrace = true;
+    c.traceLimit = 4096;
+    c.watchPages = {3, 0x12};
+    return c;
+}
+
+/** Apply every flag in @p args through the knob table. */
+SystemConfig
+parseFlags(KnobFlags set, const std::vector<std::string> &args)
+{
+    SystemConfig config;
+    std::string error;
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        EXPECT_NE(parseKnobFlag(args, &i, set, &config, &error),
+                  nullptr)
+            << args[i];
+        EXPECT_EQ(error, "") << args[i];
+    }
+    return config;
+}
+
+TEST(ConfigFields, EveryFieldKeepsItsBytesOnEverySurface)
+{
+    SystemConfig c = everyFieldConfig();
+    SystemConfig defaults;
+    for (const ConfigField &field : configFields()) {
+        bool differs = std::visit(
+            [&](auto *value) {
+                using Ptr = decltype(value);
+                return *value != *std::get<Ptr>(field.ref(defaults));
+            },
+            field.ref(c));
+        EXPECT_TRUE(differs) << field.key << " is left at its default";
+    }
+
+    // Strings captured from the writers before the table existed.
+    const std::string identity =
+        R"("policy":"region","relocation":"counter-flush",)"
+        R"("ro_policy":"friend-vm","seed":7)";
+    const std::string config =
+        R"({"mesh_width":2,"mesh_height":3,"ideal_network":true,)"
+        R"("vms":2,"vcpus_per_vm":3,"l2_bytes":65536,"l1_bytes":16384,)"
+        R"("accesses_per_vcpu":1234,"warmup_accesses_per_vcpu":321,)"
+        R"("migration_period":20000,"counter_threshold":5,)"
+        R"("region_bytes":128,"crossbar_latency":9,"link_bytes":32,)"
+        R"("router_pipeline":5,"link_latency":2,"l1_latency":3,)"
+        R"("l2_latency":11,"mem_latency":81,"retry_window":401,)"
+        R"("max_transient_attempts":5,"persistent_window":601,)"
+        R"("broadcast_attempt":4,"map_sync_bytes":16,)"
+        R"("ro_token_bundle":5,"content_scan":false,)"
+        R"("content_scan_period":30000,"timeseries_interval":5000,)"
+        R"("tag_lookup_cycles":4,"perf":true,"perf_sample_interval":2000,)"
+        R"("pages":true,"pages_top":8)";
+    const std::string extra =
+        R"("extra":{"l2_ways":16,"l1_ways":8,"local_latency":2,)"
+        R"("mem_token_latency":7,"control_bytes":9,"data_bytes":80,)"
+        R"("hypervisor_pages":65,"per_vm_shared_pages":17,)"
+        R"("channel_pages":9,"trace_ticks_per_ms":12345.5,)"
+        R"("invariant_check_period":100,"capture_trace":true,)"
+        R"("trace_limit":4096,"watch_pages":[3,18]})";
+    EXPECT_EQ(recordConfig(c), R"("app":"ferret",)" + identity +
+                                   R"(,"config":)" + config +
+                                   R"(,"watch_pages":[3,18]})");
+    EXPECT_EQ(slice(runCacheKey(c, "ferret"), "\"app\""),
+              R"("app":"ferret",)" + identity + R"(,"config":)" +
+                  config + "}," + extra + "}");
+
+    // Submission round trip: every wire field survives.
+    SweepMatrix m;
+    m.apps = {"ferret"};
+    m.policies = {c.policy};
+    m.relocations = {c.vsnoop.relocation};
+    m.roPolicies = {c.vsnoop.roPolicy};
+    m.seeds = {c.seed};
+    m.base = c;
+    const std::string wire = writeSweepRequestJson(m, "golden");
+    EXPECT_EQ(wire, R"({"apps":["ferret"],"policies":["region"],)"
+                    R"("relocations":["counter-flush"],)"
+                    R"("ro_policies":["friend-vm"],"seeds":[7],)"
+                    R"("label":"golden","config":)" +
+                        config + "}}");
+    std::optional<JsonValue> doc = parseJson(wire);
+    ASSERT_TRUE(doc.has_value());
+    SweepRequest req;
+    std::string error;
+    ASSERT_TRUE(parseSweepRequest(*doc, &req, &error)) << error;
+    EXPECT_EQ(writeSweepRequestJson(req.matrix, req.label), wire);
+
+    // Every knob flag sets the member it set before, at its scale.
+    const std::vector<std::string> knobs = {
+        "--mesh", "2x3", "--ideal-network", "--vms", "2", "--vcpus", "3",
+        "--l2-kb", "64", "--l1-kb", "16", "--accesses", "40",
+        "--warmup", "10", "--migration-period", "20000",
+        "--threshold", "5", "--region-bytes", "128",
+        "--timeseries-interval", "5000", "--perf",
+        "--perf-sample-interval", "2000", "--pages", "--pages-top", "8",
+        "--trace-limit", "4096"};
+    // Captured from vsnoopsim / vsnoopsweep --json with those flags.
+    const std::string flag_config =
+        R"({"mesh_width":2,"mesh_height":3,"ideal_network":true,)"
+        R"("vms":2,"vcpus_per_vm":3,"l2_bytes":65536,"l1_bytes":16384,)"
+        R"("accesses_per_vcpu":40,"warmup_accesses_per_vcpu":10,)"
+        R"("migration_period":20000,"counter_threshold":5,)"
+        R"("region_bytes":128,"crossbar_latency":8,"link_bytes":16,)"
+        R"("router_pipeline":4,"link_latency":1,"l1_latency":2,)"
+        R"("l2_latency":10,"mem_latency":80,"retry_window":400,)"
+        R"("max_transient_attempts":4,"persistent_window":600,)"
+        R"("broadcast_attempt":3,"map_sync_bytes":8,)"
+        R"("ro_token_bundle":4,"content_scan":true,)"
+        R"("content_scan_period":0,"timeseries_interval":5000,)"
+        R"("tag_lookup_cycles":3,"perf":true,"perf_sample_interval":2000,)"
+        R"("pages":true,"pages_top":8)";
+    SystemConfig swept = parseFlags(KnobFlags::Sweep, knobs);
+    EXPECT_EQ(recordConfig(swept),
+              R"("app":"ferret","policy":"vsnoop","relocation":"counter",)"
+              R"("ro_policy":"broadcast","seed":1,"config":)" +
+                  flag_config + "}");
+    EXPECT_EQ(swept.traceLimit, 4096u);
+    std::vector<std::string> sim_args = {
+        "--policy", "region", "--relocation", "counter-flush",
+        "--ro-policy", "friend-vm", "--seed", "7",
+        "--watch-page", "0x3000", "--watch-page", "73728"};
+    sim_args.insert(sim_args.end(), knobs.begin(), knobs.end());
+    SystemConfig simmed = parseFlags(KnobFlags::Sim, sim_args);
+    EXPECT_EQ(recordConfig(simmed), R"("app":"ferret",)" + identity +
+                                        R"(,"config":)" + flag_config +
+                                        R"(,"watch_pages":[3,18]})");
+    EXPECT_EQ(simmed.traceLimit, 4096u);
+    // Identity and watchpoints are vsnoopsim's flags only.
+    std::vector<std::string> seed_flag = {"--seed", "7"};
+    std::size_t at = 0;
+    EXPECT_EQ(parseKnobFlag(seed_flag, &at, KnobFlags::Sweep, &swept,
+                            &error),
+              nullptr);
+
+    // An unknown key and a mistyped one fail with their own message.
+    auto reject = [](const std::string &text) {
+        std::optional<JsonValue> bad = parseJson(text);
+        EXPECT_TRUE(bad.has_value()) << text;
+        SweepRequest out;
+        std::string why;
+        EXPECT_FALSE(parseSweepRequest(*bad, &out, &why)) << text;
+        return why;
+    };
+    EXPECT_EQ(reject(R"({"apps":["ferret"],"config":{"vsm":2}})"),
+              "unknown config key \"vsm\"");
+    EXPECT_EQ(reject(R"({"apps":["ferret"],"config":{"vms":"2"}})"),
+              "config key \"vms\" has the wrong type");
+}
+
+TEST(SweepWire, RejectsMachinesTheSimulatorCannotBuild)
+{
+    // Both used to pass validation and then abort the process: a
+    // 72-core mesh in CoreSet, a 100-byte region in the filter.
+    auto error_for = [](const std::string &text) {
+        std::optional<JsonValue> doc = parseJson(text);
+        EXPECT_TRUE(doc.has_value()) << text;
+        SweepRequest req;
+        std::string error;
+        EXPECT_FALSE(parseSweepRequest(*doc, &req, &error)) << text;
+        return error;
+    };
+    EXPECT_EQ(error_for(R"({"apps":["ferret"],"config":{"mesh_width":9,)"
+                        R"("mesh_height":8,"vms":1,"vcpus_per_vm":1}})"),
+              "a 9x8 mesh has 72 cores; at most 64 are supported");
+    EXPECT_EQ(error_for(R"({"apps":["ferret"],"policies":["region"],)"
+                        R"("config":{"region_bytes":100}})"),
+              "region_bytes must be a positive multiple of 64");
 }
 
 // ---------------------------------------------------------------
@@ -507,6 +757,17 @@ TEST(JobApi, RejectsMalformedSubmissionsWithActionableErrors)
     ASSERT_TRUE(reply.has_value()) << error;
     EXPECT_EQ(reply->status, 400);
     EXPECT_NE(reply->body.find("acceses"), std::string::npos)
+        << reply->body;
+
+    // A machine beyond CoreSet's 64 cores is a 400, not an abort.
+    reply = httpRequest(server.address(), "POST", "/jobs",
+                        "{\"apps\":[\"ferret\"],\"config\":"
+                        "{\"mesh_width\":9,\"mesh_height\":8,"
+                        "\"vms\":1,\"vcpus_per_vm\":1}}",
+                        "application/json", &error);
+    ASSERT_TRUE(reply.has_value()) << error;
+    EXPECT_EQ(reply->status, 400);
+    EXPECT_NE(reply->body.find("72 cores"), std::string::npos)
         << reply->body;
 
     reply = httpRequest(server.address(), "GET", "/jobs/999", "", "",

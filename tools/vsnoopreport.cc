@@ -66,7 +66,11 @@
 
 #include "sim/json.hh"
 
+#include "cli.hh"
+
 using namespace vsnoop;
+
+const char *const vsnoop::kToolName = "vsnoopreport";
 
 namespace
 {
@@ -110,13 +114,6 @@ usage()
         "    never fails); a phase run-count mismatch always fails.\n"
         "\n"
         "  --help                this text\n";
-}
-
-[[noreturn]] void
-die(const std::string &msg)
-{
-    std::cerr << "vsnoopreport: " << msg << "\n";
-    std::exit(2);
 }
 
 /**
@@ -1810,11 +1807,6 @@ main(int argc, char **argv)
     std::string out_path;
     std::vector<std::string> inputs;
 
-    auto next_value = [&](std::size_t &i, const std::string &flag) {
-        if (i + 1 >= args.size())
-            die(flag + " requires a value");
-        return args[++i];
-    };
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &flag = args[i];
         if (flag == "--help" || flag == "-h") {
@@ -1825,14 +1817,14 @@ main(int argc, char **argv)
         } else if (flag == "--trend") {
             trend_mode = true;
         } else if (flag == "--threshold") {
-            std::string value = next_value(i, flag);
+            std::string value = nextValue(args, i);
             char *end = nullptr;
             threshold = std::strtod(value.c_str(), &end);
             if (end == value.c_str() || *end != '\0' || threshold < 0.0)
                 die("--threshold expects a non-negative number, got '" +
                     value + "'");
         } else if (flag == "--out") {
-            out_path = next_value(i, flag);
+            out_path = nextValue(args, i);
         } else if (flag.rfind("--", 0) == 0) {
             die("unknown flag '" + flag + "' (try --help)");
         } else {

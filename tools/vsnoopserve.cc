@@ -45,7 +45,11 @@
 #include "sim/stats_server.hh"
 #include "trace/job_trace.hh"
 
+#include "cli.hh"
+
 using namespace vsnoop;
+
+const char *const vsnoop::kToolName = "vsnoopserve";
 
 namespace
 {
@@ -103,13 +107,6 @@ usage()
         "Flags accept both \"--flag value\" and \"--flag=value\".\n";
 }
 
-[[noreturn]] void
-die(const std::string &msg)
-{
-    std::cerr << "vsnoopserve: " << msg << "\n";
-    std::exit(2);
-}
-
 volatile std::sig_atomic_t g_signal = 0;
 
 extern "C" void
@@ -135,17 +132,6 @@ installSignalHandlers()
     sigaction(SIGTERM, &action, nullptr);
 }
 
-std::uint64_t
-parseUint(const std::string &flag, const std::string &value)
-{
-    char *end = nullptr;
-    std::uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
-        die(flag + " expects a non-negative integer, got '" + value +
-            "'");
-    return parsed;
-}
-
 /** "<N>[s|m|h|d]" (bare N = seconds) -> seconds. */
 std::int64_t
 parseDuration(const std::string &flag, const std::string &value)
@@ -169,24 +155,6 @@ parseDuration(const std::string &flag, const std::string &value)
     return static_cast<std::int64_t>(n * mult);
 }
 
-std::vector<std::string>
-normalizeArgs(int argc, char **argv)
-{
-    std::vector<std::string> args;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        std::size_t eq;
-        if (arg.rfind("--", 0) == 0 &&
-            (eq = arg.find('=')) != std::string::npos) {
-            args.push_back(arg.substr(0, eq));
-            args.push_back(arg.substr(eq + 1));
-        } else {
-            args.push_back(std::move(arg));
-        }
-    }
-    return args;
-}
-
 } // namespace
 
 int
@@ -204,44 +172,39 @@ main(int argc, char **argv)
     std::uint64_t log_ring = 1024;
 
     std::vector<std::string> args = normalizeArgs(argc, argv);
-    auto next_value = [&](std::size_t &i, const std::string &flag) {
-        if (i + 1 >= args.size())
-            die(flag + " requires a value");
-        return args[++i];
-    };
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &flag = args[i];
         if (flag == "--help" || flag == "-h") {
             usage();
             return 0;
         } else if (flag == "--addr") {
-            addr = next_value(i, flag);
+            addr = nextValue(args, i);
         } else if (flag == "--cache-dir") {
-            cache_dir = next_value(i, flag);
+            cache_dir = nextValue(args, i);
         } else if (flag == "--cache-max-mb") {
-            cache_max_mb = parseUint(flag, next_value(i, flag));
+            cache_max_mb = parseUint(flag, nextValue(args, i));
         } else if (flag == "--jobs") {
             jobs = static_cast<unsigned>(
-                parseUint(flag, next_value(i, flag)));
+                parseUint(flag, nextValue(args, i)));
         } else if (flag == "--http-threads") {
             http_threads = static_cast<unsigned>(
-                parseUint(flag, next_value(i, flag)));
+                parseUint(flag, nextValue(args, i)));
             if (http_threads == 0)
                 die("--http-threads must be at least 1");
         } else if (flag == "--max-body-kb") {
-            max_body_kb = parseUint(flag, next_value(i, flag));
+            max_body_kb = parseUint(flag, nextValue(args, i));
             if (max_body_kb == 0)
                 die("--max-body-kb must be at least 1");
         } else if (flag == "--read-timeout-ms") {
-            read_timeout_ms = parseUint(flag, next_value(i, flag));
+            read_timeout_ms = parseUint(flag, nextValue(args, i));
             if (read_timeout_ms == 0)
                 die("--read-timeout-ms must be at least 1");
         } else if (flag == "--store-max-age") {
-            store_max_age_s = parseDuration(flag, next_value(i, flag));
+            store_max_age_s = parseDuration(flag, nextValue(args, i));
         } else if (flag == "--trace-jobs") {
-            trace_jobs_path = next_value(i, flag);
+            trace_jobs_path = nextValue(args, i);
         } else if (flag == "--log-ring") {
-            log_ring = parseUint(flag, next_value(i, flag));
+            log_ring = parseUint(flag, nextValue(args, i));
             if (log_ring == 0)
                 die("--log-ring must be at least 1");
         } else {

@@ -41,13 +41,17 @@
 #include "system/heartbeat.hh"
 #include "system/sweep.hh"
 
+#include "cli.hh"
+
 using namespace vsnoop;
+
+const char *const vsnoop::kToolName = "vsnoopsweep";
 
 namespace
 {
 
 void
-usage()
+usage(const SystemConfig &defaults)
 {
     std::cout <<
         "vsnoopsweep — parallel configuration-sweep runner\n"
@@ -73,65 +77,19 @@ usage()
         "  --seeds S,...         RNG seeds, one run per seed\n"
         "                        (default 1)\n"
         "\n"
-        "base configuration (applied to every run):\n"
-        "  --accesses N          accesses per vCPU (default 20000)\n"
-        "  --warmup N            warmup accesses per vCPU (default\n"
-        "                        accesses/4)\n"
-        "  --mesh WxH            mesh geometry (default 4x4)\n"
-        "  --vms N               virtual machines (default 4)\n"
-        "  --vcpus N             vCPUs per VM (default 4)\n"
-        "  --l2-kb N             private L2 size in KB (default 256)\n"
-        "  --l1-kb N             model private L1s of N KB\n"
-        "  --ideal-network       contention-free crossbar\n"
-        "  --threshold N         counter threshold (default 10)\n"
-        "  --region-bytes N      region filter granularity (default\n"
-        "                        1024)\n"
-        "  --migration-period T  ticks between vCPU shuffles (default\n"
-        "                        0 = pinned)\n"
+        "base configuration (applied to every run; rides the wire\n"
+        "config, so it composes with --submit):\n"
+              << knobFlagHelp(KnobFlags::Sweep, defaults) <<
         "\n"
         "observability:\n"
         "  --trace-dir DIR       write one Chrome trace-event JSON\n"
         "                        file per run into DIR (must exist;\n"
         "                        named <app>-<policy>-<relocation>-\n"
         "                        <ro>-s<seed>.trace.json)\n"
-        "  --trace-limit N       trace ring capacity in records\n"
-        "                        (default 1048576)\n"
-        "  --timeseries-interval T\n"
-        "                        sample the interval time series every\n"
-        "                        T ticks into each run's JSON record\n"
-        "                        (default 0 = off)\n"
-        "\n"
         "  --profile             profile the simulator itself: print\n"
         "                        an aggregated per-phase host time\n"
         "                        breakdown (CPU time summed across\n"
         "                        workers) to stderr after the sweep\n"
-        "  --perf                collect simulator-internals counters\n"
-        "                        (event-queue occupancy, hash-table\n"
-        "                        probe lengths, pool watermarks, mesh\n"
-        "                        backlog) into each record's\n"
-        "                        results.perf and, with --stats-addr,\n"
-        "                        aggregated vsnoop_perf_* series on\n"
-        "                        /metrics.  Off by default; output is\n"
-        "                        byte-identical to a non---perf sweep\n"
-        "                        when off.  Rides the wire config, so\n"
-        "                        it composes with --submit.\n"
-        "  --perf-sample-interval T\n"
-        "                        sample perf occupancy histograms\n"
-        "                        every T ticks (default 10000)\n"
-        "  --pages               attribute snoop activity to host\n"
-        "                        pages in every run: results.pages\n"
-        "                        (bounded top-K per-page counters,\n"
-        "                        lifecycle transitions, census) and,\n"
-        "                        with --stats-addr, aggregated\n"
-        "                        vsnoop_pages_* series on /metrics.\n"
-        "                        Off by default; output is\n"
-        "                        byte-identical to a non---pages\n"
-        "                        sweep when off, and byte-identical\n"
-        "                        across --jobs when on.  Rides the\n"
-        "                        wire config, so it composes with\n"
-        "                        --submit.\n"
-        "  --pages-top K         heavy-hitter capacity for --pages\n"
-        "                        (default 64)\n"
         "\n"
         "live monitoring (JSON output stays byte-identical):\n"
         "  --stats-addr H:P      serve live telemetry over HTTP while\n"
@@ -174,13 +132,6 @@ usage()
         "Flags accept both \"--flag value\" and \"--flag=value\".\n";
 }
 
-[[noreturn]] void
-die(const std::string &msg)
-{
-    std::cerr << "vsnoopsweep: " << msg << "\n";
-    std::exit(2);
-}
-
 /** Last SIGINT/SIGTERM observed; 0 while uninterrupted. */
 volatile std::sig_atomic_t g_signal = 0;
 
@@ -209,112 +160,6 @@ installSignalHandlers()
     action.sa_flags = SA_RESETHAND;
     sigaction(SIGINT, &action, nullptr);
     sigaction(SIGTERM, &action, nullptr);
-}
-
-std::uint64_t
-parseUint(const std::string &flag, const std::string &value)
-{
-    char *end = nullptr;
-    std::uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
-        die(flag + " expects a non-negative integer, got '" +
-            value + "'");
-    return parsed;
-}
-
-std::vector<std::string>
-splitList(const std::string &flag, const std::string &value)
-{
-    std::vector<std::string> items;
-    std::size_t start = 0;
-    while (start <= value.size()) {
-        std::size_t comma = value.find(',', start);
-        if (comma == std::string::npos)
-            comma = value.size();
-        std::string item = value.substr(start, comma - start);
-        if (item.empty())
-            die(flag + " has an empty list element in '" + value + "'");
-        items.push_back(std::move(item));
-        start = comma + 1;
-        if (comma == value.size())
-            break;
-    }
-    if (items.empty())
-        die(flag + " expects a non-empty comma-separated list");
-    return items;
-}
-
-PolicyKind
-parsePolicy(const std::string &name)
-{
-    if (name == "tokenb")
-        return PolicyKind::TokenB;
-    if (name == "vsnoop")
-        return PolicyKind::VirtualSnoop;
-    if (name == "region")
-        return PolicyKind::IdealRegionFilter;
-    die("unknown policy '" + name + "'; known: tokenb vsnoop region");
-}
-
-RelocationMode
-parseRelocation(const std::string &name)
-{
-    if (name == "base")
-        return RelocationMode::Base;
-    if (name == "counter")
-        return RelocationMode::Counter;
-    if (name == "counter-threshold")
-        return RelocationMode::CounterThreshold;
-    if (name == "counter-flush")
-        return RelocationMode::CounterFlush;
-    die("unknown relocation mode '" + name +
-        "'; known: base counter counter-threshold counter-flush");
-}
-
-RoPolicy
-parseRoPolicy(const std::string &name)
-{
-    if (name == "broadcast")
-        return RoPolicy::Broadcast;
-    if (name == "memory-direct")
-        return RoPolicy::MemoryDirect;
-    if (name == "intra-vm")
-        return RoPolicy::IntraVm;
-    if (name == "friend-vm")
-        return RoPolicy::FriendVm;
-    die("unknown RO policy '" + name +
-        "'; known: broadcast memory-direct intra-vm friend-vm");
-}
-
-/** Expand "--flag=value" into "--flag","value". */
-std::vector<std::string>
-normalizeArgs(int argc, char **argv)
-{
-    std::vector<std::string> args;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        std::size_t eq;
-        if (arg.rfind("--", 0) == 0 &&
-            (eq = arg.find('=')) != std::string::npos) {
-            args.push_back(arg.substr(0, eq));
-            args.push_back(arg.substr(eq + 1));
-        } else {
-            args.push_back(std::move(arg));
-        }
-    }
-    return args;
-}
-
-std::string
-joinNames(const std::vector<std::string> &names)
-{
-    std::string out;
-    for (const std::string &name : names) {
-        if (!out.empty())
-            out += ' ';
-        out += name;
-    }
-    return out;
 }
 
 /** "message" from a JSON error body, or the raw body as fallback. */
@@ -454,6 +299,7 @@ main(int argc, char **argv)
     SweepMatrix matrix;
     matrix.apps = {"ferret"};
     matrix.base.accessesPerVcpu = 20000;
+    const SystemConfig defaults = matrix.base;
     bool warmup_set = false;
     bool list_only = false;
     bool want_profile = false;
@@ -463,23 +309,33 @@ main(int argc, char **argv)
     std::string stats_addr;
     std::uint64_t heartbeat_secs = 0;
     std::uint64_t stall_secs = 30;
+    std::string error;
 
     std::vector<std::string> args = normalizeArgs(argc, argv);
-    auto next_value = [&](std::size_t &i, const std::string &flag) {
-        if (i + 1 >= args.size())
-            die(flag + " requires a value");
-        return args[++i];
+    // A sweep axis: a comma-separated list of enum tokens.
+    auto parseAxis = [&](std::size_t &i, auto *axis) {
+        const std::string &flag = args[i];
+        axis->clear();
+        for (const std::string &token :
+             splitList(flag, nextValue(args, i))) {
+            typename std::remove_reference_t<decltype(*axis)>::value_type
+                value{};
+            if (!parseEnumToken(token, &value))
+                die("unknown " + flag + " token '" + token +
+                    "'; known: " + enumTokenList<decltype(value)>());
+            axis->push_back(value);
+        }
     };
 
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &flag = args[i];
         if (flag == "--help" || flag == "-h") {
-            usage();
+            usage(defaults);
             return 0;
         } else if (flag == "--apps") {
             matrix.apps.clear();
             for (const std::string &name :
-                 splitList(flag, next_value(i, flag))) {
+                 splitList(flag, nextValue(args, i))) {
                 if (name == "coherence") {
                     for (const AppProfile &app : coherenceApps())
                         matrix.apps.push_back(app.name);
@@ -488,103 +344,42 @@ main(int argc, char **argv)
                 }
             }
         } else if (flag == "--policies") {
-            matrix.policies.clear();
-            for (const std::string &name :
-                 splitList(flag, next_value(i, flag)))
-                matrix.policies.push_back(parsePolicy(name));
+            parseAxis(i, &matrix.policies);
         } else if (flag == "--relocations") {
-            matrix.relocations.clear();
-            for (const std::string &name :
-                 splitList(flag, next_value(i, flag)))
-                matrix.relocations.push_back(parseRelocation(name));
+            parseAxis(i, &matrix.relocations);
         } else if (flag == "--ro-policies") {
-            matrix.roPolicies.clear();
-            for (const std::string &name :
-                 splitList(flag, next_value(i, flag)))
-                matrix.roPolicies.push_back(parseRoPolicy(name));
+            parseAxis(i, &matrix.roPolicies);
         } else if (flag == "--seeds") {
             matrix.seeds.clear();
             for (const std::string &seed :
-                 splitList(flag, next_value(i, flag)))
+                 splitList(flag, nextValue(args, i)))
                 matrix.seeds.push_back(parseUint(flag, seed));
-        } else if (flag == "--accesses") {
-            matrix.base.accessesPerVcpu =
-                parseUint(flag, next_value(i, flag));
-        } else if (flag == "--warmup") {
-            matrix.base.warmupAccessesPerVcpu =
-                parseUint(flag, next_value(i, flag));
-            warmup_set = true;
-        } else if (flag == "--mesh") {
-            std::string value = next_value(i, flag);
-            auto x = value.find('x');
-            if (x == std::string::npos)
-                die("--mesh expects WxH, e.g. 4x4");
-            matrix.base.mesh.width = static_cast<std::uint32_t>(
-                parseUint(flag, value.substr(0, x)));
-            matrix.base.mesh.height = static_cast<std::uint32_t>(
-                parseUint(flag, value.substr(x + 1)));
-        } else if (flag == "--vms") {
-            matrix.base.numVms = static_cast<std::uint32_t>(
-                parseUint(flag, next_value(i, flag)));
-        } else if (flag == "--vcpus") {
-            matrix.base.vcpusPerVm = static_cast<std::uint32_t>(
-                parseUint(flag, next_value(i, flag)));
-        } else if (flag == "--l2-kb") {
-            matrix.base.l2.sizeBytes =
-                parseUint(flag, next_value(i, flag)) * 1024;
-        } else if (flag == "--l1-kb") {
-            matrix.base.l2.l1SizeBytes =
-                parseUint(flag, next_value(i, flag)) * 1024;
-        } else if (flag == "--ideal-network") {
-            matrix.base.idealNetwork = true;
-        } else if (flag == "--threshold") {
-            matrix.base.vsnoop.counterThreshold =
-                parseUint(flag, next_value(i, flag));
-        } else if (flag == "--region-bytes") {
-            matrix.base.regionBytes =
-                parseUint(flag, next_value(i, flag));
-        } else if (flag == "--migration-period") {
-            matrix.base.migrationPeriod =
-                parseUint(flag, next_value(i, flag));
         } else if (flag == "--trace-dir") {
-            matrix.traceDir = next_value(i, flag);
-        } else if (flag == "--trace-limit") {
-            matrix.base.traceLimit = static_cast<std::size_t>(
-                parseUint(flag, next_value(i, flag)));
-            if (matrix.base.traceLimit == 0)
-                die("--trace-limit must be at least 1");
-        } else if (flag == "--timeseries-interval") {
-            matrix.base.timeseriesInterval =
-                parseUint(flag, next_value(i, flag));
+            matrix.traceDir = nextValue(args, i);
         } else if (flag == "--profile") {
             want_profile = true;
-        } else if (flag == "--perf") {
-            matrix.base.perf = true;
-        } else if (flag == "--perf-sample-interval") {
-            matrix.base.perfSampleInterval =
-                parseUint(flag, next_value(i, flag));
-        } else if (flag == "--pages") {
-            matrix.base.pages = true;
-        } else if (flag == "--pages-top") {
-            matrix.base.pagesTop = static_cast<std::uint32_t>(
-                parseUint(flag, next_value(i, flag)));
-            if (matrix.base.pagesTop == 0)
-                die("--pages-top must be at least 1");
         } else if (flag == "--stats-addr") {
-            stats_addr = next_value(i, flag);
+            stats_addr = nextValue(args, i);
         } else if (flag == "--heartbeat") {
-            heartbeat_secs = parseUint(flag, next_value(i, flag));
+            heartbeat_secs = parseUint(flag, nextValue(args, i));
         } else if (flag == "--stall-timeout") {
-            stall_secs = parseUint(flag, next_value(i, flag));
+            stall_secs = parseUint(flag, nextValue(args, i));
         } else if (flag == "--submit") {
-            submit_addr = next_value(i, flag);
+            submit_addr = nextValue(args, i);
         } else if (flag == "--jobs") {
             jobs = static_cast<unsigned>(
-                parseUint(flag, next_value(i, flag)));
+                parseUint(flag, nextValue(args, i)));
         } else if (flag == "--out") {
-            out_path = next_value(i, flag);
+            out_path = nextValue(args, i);
         } else if (flag == "--list") {
             list_only = true;
+        } else if (const ConfigField *knob = parseKnobFlag(
+                       args, &i, KnobFlags::Sweep, &matrix.base,
+                       &error)) {
+            if (!error.empty())
+                die(error);
+            warmup_set |= knob->ref(matrix.base) ==
+                          FieldRef(&matrix.base.warmupAccessesPerVcpu);
         } else {
             die("unknown flag '" + flag + "' (try --help)");
         }
@@ -592,6 +387,8 @@ main(int argc, char **argv)
     if (!warmup_set)
         matrix.base.warmupAccessesPerVcpu =
             matrix.base.accessesPerVcpu / 4;
+    if (!validateConfig(matrix.base, &error))
+        die(error);
 
     // Fail on unknown app names before doing any work.
     for (const std::string &name : matrix.apps) {

@@ -37,7 +37,11 @@
 #include "sim/json.hh"
 #include "sim/stats_server.hh"
 
+#include "cli.hh"
+
 using namespace vsnoop;
+
+const char *const vsnoop::kToolName = "vsnooptop";
 
 namespace
 {
@@ -73,43 +77,6 @@ usage()
         "first poll fails.\n"
         "\n"
         "Flags accept both \"--flag value\" and \"--flag=value\".\n";
-}
-
-[[noreturn]] void
-die(const std::string &msg)
-{
-    std::cerr << "vsnooptop: " << msg << "\n";
-    std::exit(2);
-}
-
-std::uint64_t
-parseUint(const std::string &flag, const std::string &value)
-{
-    char *end = nullptr;
-    std::uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
-        die(flag + " expects a non-negative integer, got '" +
-            value + "'");
-    return parsed;
-}
-
-/** Expand "--flag=value" into "--flag","value". */
-std::vector<std::string>
-normalizeArgs(int argc, char **argv)
-{
-    std::vector<std::string> args;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        std::size_t eq;
-        if (arg.rfind("--", 0) == 0 &&
-            (eq = arg.find('=')) != std::string::npos) {
-            args.push_back(arg.substr(0, eq));
-            args.push_back(arg.substr(eq + 1));
-        } else {
-            args.push_back(std::move(arg));
-        }
-    }
-    return args;
 }
 
 /** @{ ANSI fragments (kept inline so --once output stays plain). */
@@ -577,11 +544,6 @@ main(int argc, char **argv)
     bool once = false;
 
     std::vector<std::string> args = normalizeArgs(argc, argv);
-    auto next_value = [&](std::size_t &i, const std::string &flag) {
-        if (i + 1 >= args.size())
-            die(flag + " requires a value");
-        return args[++i];
-    };
 
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &flag = args[i];
@@ -589,9 +551,9 @@ main(int argc, char **argv)
             usage();
             return 0;
         } else if (flag == "--addr") {
-            addr = next_value(i, flag);
+            addr = nextValue(args, i);
         } else if (flag == "--interval") {
-            interval_ms = parseUint(flag, next_value(i, flag));
+            interval_ms = parseUint(flag, nextValue(args, i));
             if (interval_ms == 0)
                 die("--interval must be at least 1 ms");
         } else if (flag == "--once") {
