@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "sim/logging.hh"
-#include "sim/profiler.hh"
 #include "trace/critpath.hh"
 #include "trace/pagemon.hh"
 

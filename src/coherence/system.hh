@@ -29,7 +29,6 @@ namespace vsnoop
 {
 
 class CritPathAccountant;
-class HostProfiler;
 class PageMon;
 class TraceSink;
 
@@ -175,17 +174,6 @@ class CoherenceSystem
     PageMon *pagemon() const { return pagemon_; }
 
     /**
-     * Attach (or detach, with nullptr) a host self-profiler.
-     * Protocol work and network sends are bracketed with
-     * ProfileScope guards that branch on the pointer, mirroring
-     * the trace hooks.  The profiler must outlive the system.
-     */
-    void setProfiler(HostProfiler *profiler) { profiler_ = profiler; }
-
-    /** The active profiler, or nullptr when profiling is off. */
-    HostProfiler *profiler() const { return profiler_; }
-
-    /**
      * Attach (or detach, with nullptr) a critical-path accountant
      * (trace/critpath.hh).  Controllers charge per-transaction
      * segment timelines and the fabric charges snoop deliveries to
@@ -271,7 +259,7 @@ class CoherenceSystem
     /** Deliver a snoop at a memory controller. */
     void handleMemorySnoop(const SnoopMsg &msg);
 
-    /** network_.send bracketed with the Network profile phase. */
+    /** network_.send, charging queue wait to the critpath accountant. */
     Tick netSend(NodeId src, NodeId dst, std::uint32_t bytes,
                  MsgClass cls, Tick now);
 
@@ -288,7 +276,6 @@ class CoherenceSystem
     EventQueue &eq_;
     Network &network_;
     TraceSink *trace_ = nullptr;
-    HostProfiler *profiler_ = nullptr;
     CritPathAccountant *critpath_ = nullptr;
     PageMon *pagemon_ = nullptr;
     SnoopTargetPolicy &policy_;

@@ -192,7 +192,8 @@ void
 ResultStore::evictLocked(const std::string &keepHash)
 {
     while (bytes_ > maxBytes_ && !lru_.empty()) {
-        const std::string &victim = lru_.front();
+        // A copy: dropLocked() erases the list node that holds it.
+        std::string victim = lru_.front();
         if (victim == keepHash)
             break; // never evict the entry just inserted
         dropLocked(victim, true);

@@ -263,7 +263,6 @@ EventQueue::run(std::uint64_t limit)
 std::uint64_t
 EventQueue::runUntil(Tick until)
 {
-    ProfileScope scope(profiler_, profilePhase_);
     std::uint64_t dispatched = 0;
     HeapEntry entry;
     while (peekNext(entry) && entry.when <= until) {

@@ -38,7 +38,6 @@
 #include <memory>
 #include <vector>
 
-#include "sim/profiler.hh"
 #include "sim/small_fn.hh"
 #include "sim/types.hh"
 
@@ -142,29 +141,13 @@ class EventQueue
      */
     std::uint64_t runUntil(Tick until);
 
-    /**
-     * Attribute runUntil() dispatch time to @p phase on @p profiler
-     * (one scope per runUntil call, not per event — per-event clock
-     * reads at tens of millions of events/s were a measurable share
-     * of the whole simulation).  Nested scopes opened by individual
-     * events (e.g. workload generation) still subtract themselves
-     * from the bracket, so exclusive attribution is preserved at
-     * phase granularity.  run() is deliberately not bracketed: the
-     * end-of-run drain calls it inside its own Drain scope.
-     */
-    void setDispatchProfile(HostProfiler *profiler,
-                            HostProfiler::Phase phase) {
-        profiler_ = profiler;
-        profilePhase_ = phase;
-    }
-
     /** Dispatch exactly one event if any is pending. */
     bool step();
 
     /**
      * Attach an internals counter block (sim/perfmon.hh); nullptr
-     * detaches.  Branch-on-null like setDispatchProfile(): every
-     * hook costs one predictable branch when detached.
+     * detaches.  Every hook is branch-on-null, so it costs one
+     * predictable branch when detached.
      */
     void setPerf(EventQueuePerf *perf) { perf_ = perf; }
 
@@ -277,8 +260,6 @@ class EventQueue
     /** The entry peekNext() found came from overflow_, not the wheel. */
     bool peekFromOverflow_ = false;
     std::vector<HeapEntry> overflow_;
-    HostProfiler *profiler_ = nullptr;
-    HostProfiler::Phase profilePhase_ = HostProfiler::Phase::Coherence;
     EventQueuePerf *perf_ = nullptr;
     std::vector<std::unique_ptr<OwnedEvent>> pool_;
     std::vector<std::uint32_t> freeSlots_;

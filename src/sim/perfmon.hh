@@ -11,7 +11,7 @@
  * discipline the simulated protocol already has.
  *
  * The hooks follow the repository's branch-on-null contract
- * (trace/trace.hh, sim/profiler.hh): every instrumented component
+ * (trace/trace.hh, trace/critpath.hh): every instrumented component
  * holds a nullable pointer to its counter block and pays one
  * predictable branch per site when monitoring is off.  Counters are
  * plain (non-atomic) and thread-confined to the owning SimSystem,
@@ -24,9 +24,9 @@
  * monitoring is off.
  *
  * PerfExport aggregates finished runs' PerfMon blocks across a
- * sweep's worker threads (merge under a mutex at run end — the same
- * pattern as HostProfiler aggregation) and exposes them as
- * Prometheus series on the sweep/serve /metrics endpoint.
+ * sweep's worker threads (merge under a mutex at run end) and
+ * exposes them as Prometheus series on the sweep/serve /metrics
+ * endpoint.
  */
 
 #ifndef VSNOOP_SIM_PERFMON_HH_

@@ -1,7 +1,6 @@
 #include "system/driver.hh"
 
 #include "sim/logging.hh"
-#include "sim/profiler.hh"
 
 namespace vsnoop
 {
@@ -47,10 +46,7 @@ VcpuDriver::process()
         eq_.scheduleIn(*this, 1000);
         return;
     }
-    VcpuWorkload::Step step = [this] {
-        ProfileScope scope(profiler_, HostProfiler::Phase::Generate);
-        return workload_.next();
-    }();
+    VcpuWorkload::Step step = workload_.next();
     Tick issue_time = eq_.now();
     auto category = step.category;
     Tick gap = step.gap;

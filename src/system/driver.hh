@@ -65,12 +65,6 @@ class VcpuDriver : public Event
     /** Zero the driver's and its workload's statistics. */
     void resetStats();
 
-    /**
-     * Attach a host self-profiler; workload generation is charged
-     * to the Generate phase.  Null detaches (the default).
-     */
-    void setProfiler(HostProfiler *profiler) { profiler_ = profiler; }
-
     /** @{ Completion statistics. */
     /** L2 misses by generated access category (Fig 1, Table V). */
     Counter missesByCategory[kNumAccessCategories];
@@ -89,7 +83,6 @@ class VcpuDriver : public Event
     std::uint64_t warmup_;
     std::uint64_t issued_ = 0;
     Tick finishedAt_ = kMaxTick;
-    HostProfiler *profiler_ = nullptr;
 };
 
 } // namespace vsnoop

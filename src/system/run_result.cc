@@ -306,11 +306,9 @@ collectResults(SimSystem &system, const std::string &appName)
 
 RunResult
 collectRun(const SystemConfig &config, const AppProfile &app,
-           HostProfiler *profiler, ProgressFn progress)
+           ProgressFn progress)
 {
     SimSystem system(config, app);
-    if (profiler != nullptr)
-        system.setProfiler(profiler);
     if (progress)
         system.setProgressCallback(std::move(progress));
     system.run();

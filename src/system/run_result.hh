@@ -81,14 +81,11 @@ RunResult collectResults(SimSystem &system, const std::string &appName);
  * Builds the SimSystem on the calling thread; safe to invoke
  * concurrently from many threads (one system per call).
  *
- * A non-null @p profiler is attached to the system for the run
- * (see sim/profiler.hh); its wall-clock totals stay out of the
- * RunResult so the JSON remains deterministic.  A non-empty
- * @p progress observer is attached the same way (sim_system.hh);
- * it is invoked on this thread during the run.
+ * A non-empty @p progress observer is attached to the system for
+ * the run (sim_system.hh); it is invoked on this thread during the
+ * run.
  */
 RunResult collectRun(const SystemConfig &config, const AppProfile &app,
-                     HostProfiler *profiler = nullptr,
                      ProgressFn progress = {});
 
 } // namespace vsnoop

@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "sim/logging.hh"
-#include "sim/profiler.hh"
 #include "sim/stats.hh"
 
 namespace vsnoop
@@ -236,20 +235,6 @@ SimSystem::build(const std::vector<AppProfile> &apps)
 }
 
 void
-SimSystem::setProfiler(HostProfiler *profiler)
-{
-    profiler_ = profiler;
-    coherence_->setProfiler(profiler);
-    // Protocol work is attributed at the event loop, one scope per
-    // runUntil() slice: per-message scopes cost two clock reads per
-    // event and dominated the profiler's own overhead.  Workload
-    // generation still opens its nested Generate scope per batch.
-    eq_.setDispatchProfile(profiler, HostProfiler::Phase::Coherence);
-    for (auto &driver : drivers_)
-        driver->setProfiler(profiler);
-}
-
-void
 SimSystem::registerStats(StatSet &set) const
 {
     const CoherenceStats &cs = coherence_->stats;
@@ -359,8 +344,6 @@ SimSystem::resetAllStats()
 void
 SimSystem::run()
 {
-    if (profiler_)
-        profiler_->begin();
     for (auto &driver : drivers_)
         driver->start();
     if (migrator_)
@@ -431,14 +414,9 @@ SimSystem::run()
         sampler_->stop();
     // Drain any still-queued responses so tokens settle (keeps the
     // final invariant check meaningful).
-    {
-        ProfileScope drain(profiler_, HostProfiler::Phase::Drain);
-        eq_.run(1000000);
-    }
+    eq_.run(1000000);
     if (config_.invariantCheckPeriod > 0)
         coherence_->checkInvariants();
-    if (profiler_)
-        profiler_->end(eq_.eventsProcessed());
     reportProgress(true);
 }
 

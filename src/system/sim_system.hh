@@ -275,13 +275,6 @@ class SimSystem
     PageMon *pagemon() { return pagemon_.get(); }
     const PageMon *pagemon() const { return pagemon_.get(); }
     /**
-     * Attach a host self-profiler (sim/profiler.hh) before run().
-     * The caller owns it and must keep it alive for the run; run()
-     * brackets the simulation with begin()/end() and the
-     * instrumented components charge their phases to it.
-     */
-    void setProfiler(HostProfiler *profiler);
-    /**
      * Attach a live-progress observer before run(); invoked on the
      * simulating thread once at start, at every execution slice,
      * and once (with finished = true) after the drain.  Empty
@@ -332,7 +325,6 @@ class SimSystem
     std::unique_ptr<PerfMon> perfmon_;
     /** The mesh when !idealNetwork (perf hooks); else nullptr. */
     Mesh *mesh_ = nullptr;
-    HostProfiler *profiler_ = nullptr;
     ProgressFn progress_;
     /** Stops auxiliary event chains (periodic scans) at run end. */
     bool stopAux_ = false;

@@ -1,11 +1,9 @@
 #include "system/sweep.hh"
 
 #include <atomic>
-#include <mutex>
 #include <thread>
 
 #include "sim/logging.hh"
-#include "sim/profiler.hh"
 #include "system/heartbeat.hh"
 
 namespace vsnoop
@@ -108,9 +106,9 @@ runIndexed(std::size_t count, unsigned jobs,
 }
 
 std::vector<RunResult>
-runSweep(const SweepMatrix &matrix, unsigned jobs, HostProfiler *profile)
+runSweep(const SweepMatrix &matrix, unsigned jobs)
 {
-    SweepExecution exec = runSweepMonitored(matrix, jobs, profile);
+    SweepExecution exec = runSweepMonitored(matrix, jobs);
     return std::move(exec.results);
 }
 
@@ -125,7 +123,7 @@ SweepExecution::completedCount() const
 
 SweepExecution
 runSweepMonitored(const SweepMatrix &matrix, unsigned jobs,
-                  HostProfiler *profile, SweepHeartbeat *heartbeat,
+                  SweepHeartbeat *heartbeat,
                   const std::function<bool()> &cancel,
                   const std::function<void(std::size_t, const RunResult &)>
                       &onRunDone)
@@ -144,7 +142,6 @@ runSweepMonitored(const SweepMatrix &matrix, unsigned jobs,
     SweepExecution exec;
     exec.results.resize(points.size());
     exec.completed.assign(points.size(), 0);
-    std::mutex profile_mutex;
     if (heartbeat != nullptr)
         heartbeat->markLaunched(steadyNowMs());
     runIndexed(points.size(), jobs, [&](std::size_t i) {
@@ -156,21 +153,8 @@ runSweepMonitored(const SweepMatrix &matrix, unsigned jobs,
                 cell.update(sample, steadyNowMs());
             };
         }
-        if (profile == nullptr) {
-            exec.results[i] =
-                collectRun(matrix.configFor(points[i]), *profiles[i],
-                           nullptr, std::move(progress));
-        } else {
-            // Each run profiles into a worker-local collector; only
-            // the end-of-run merge takes the lock, so profiling adds
-            // no cross-thread traffic to the hot path.
-            HostProfiler local;
-            exec.results[i] =
-                collectRun(matrix.configFor(points[i]), *profiles[i],
-                           &local, std::move(progress));
-            std::lock_guard<std::mutex> lock(profile_mutex);
-            profile->merge(local);
-        }
+        exec.results[i] = collectRun(matrix.configFor(points[i]),
+                                     *profiles[i], std::move(progress));
         if (onRunDone)
             onRunDone(i, exec.results[i]);
         if (heartbeat != nullptr)

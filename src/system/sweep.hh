@@ -105,15 +105,9 @@ void runIndexed(std::size_t count, unsigned jobs,
  * Execute every point of the matrix and return results in
  * expand() order.  Looks profiles up with findApp() (fatal on an
  * unknown name) before spawning workers.
- *
- * A non-null @p profile accumulates every worker's host-profiler
- * totals (merged under a lock at run end), so the aggregate is CPU
- * time summed across workers and events-per-second is per-worker
- * throughput.
  */
 std::vector<RunResult> runSweep(const SweepMatrix &matrix,
-                                unsigned jobs = 0,
-                                HostProfiler *profile = nullptr);
+                                unsigned jobs = 0);
 
 class SweepHeartbeat;
 
@@ -158,7 +152,6 @@ struct SweepExecution
  */
 SweepExecution runSweepMonitored(
     const SweepMatrix &matrix, unsigned jobs = 0,
-    HostProfiler *profile = nullptr,
     SweepHeartbeat *heartbeat = nullptr,
     const std::function<bool()> &cancel = {},
     const std::function<void(std::size_t, const RunResult &)>

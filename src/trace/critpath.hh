@@ -155,7 +155,7 @@ std::string vmRowLabel(std::uint32_t row, std::uint32_t dim);
 /**
  * The live accountant, owned by SimSystem and attached to
  * CoherenceSystem behind a branch-on-null pointer (like TraceSink
- * and HostProfiler).
+ * and PageMon).
  */
 class CritPathAccountant
 {

@@ -286,7 +286,7 @@ TEST(RunSweepMonitored, ObservationDoesNotChangeRunBytes)
     std::vector<RunResult> plain = runSweep(m, 2);
 
     SweepHeartbeat hb(m);
-    SweepExecution monitored = runSweepMonitored(m, 2, nullptr, &hb);
+    SweepExecution monitored = runSweepMonitored(m, 2, &hb);
     EXPECT_FALSE(monitored.interrupted);
     ASSERT_EQ(monitored.results.size(), plain.size());
     EXPECT_EQ(monitored.completedCount(), plain.size());
@@ -309,7 +309,7 @@ TEST(RunSweepMonitored, CancelledSweepMarksOnlyCompletedSlots)
     SweepMatrix m = smallMatrix();
     // Cancel immediately: nothing dispatches, nothing completes.
     SweepHeartbeat hb(m);
-    SweepExecution exec = runSweepMonitored(m, 2, nullptr, &hb,
+    SweepExecution exec = runSweepMonitored(m, 2, &hb,
                                             [] { return true; });
     EXPECT_TRUE(exec.interrupted);
     EXPECT_TRUE(hb.interrupted());

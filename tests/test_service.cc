@@ -365,27 +365,31 @@ TEST(ResultStore, RoundTripsRecordsAndCountsHitsAndMisses)
 TEST(ResultStore, EvictsLeastRecentlyUsedBeyondTheByteCap)
 {
     fs::path dir = freshDir("evict");
-    // Each entry is key + '\n' + record + '\n' = 2+1+28+1 = 32
-    // bytes; a 70-byte cap holds two entries, not three.
+    // Keys as long as real content hashes, so no key fits a
+    // short-string buffer.  Each entry is key + '\n' + record + '\n'
+    // = 32+1+28+1 = 62 bytes; a 130-byte cap holds two, not three.
+    const std::string k1(32, '1'), k2(32, '2'), k3(32, '3');
     const std::string record(28, 'r');
     ResultStore store;
     std::string error;
-    ASSERT_TRUE(store.open(dir.string(), 70, &error)) << error;
+    ASSERT_TRUE(store.open(dir.string(), 130, &error)) << error;
 
-    store.put("k1", record);
-    store.put("k2", record);
+    store.put(k1, record);
+    store.put(k2, record);
     EXPECT_EQ(store.entryCount(), 2u);
     EXPECT_EQ(store.evictions(), 0u);
 
     // Touch k1 so k2 becomes least recently used, then overflow.
-    EXPECT_TRUE(store.get("k1").has_value());
-    store.put("k3", record);
+    EXPECT_TRUE(store.get(k1).has_value());
+    store.put(k3, record);
 
     EXPECT_EQ(store.evictions(), 1u);
     EXPECT_EQ(store.entryCount(), 2u);
-    EXPECT_FALSE(store.get("k2").has_value());
-    EXPECT_TRUE(store.get("k1").has_value());
-    EXPECT_TRUE(store.get("k3").has_value());
+    EXPECT_FALSE(fs::exists(dir / "objects" / contentHash(k2)));
+    EXPECT_TRUE(fs::exists(dir / "objects" / contentHash(k1)));
+    EXPECT_FALSE(store.get(k2).has_value());
+    EXPECT_TRUE(store.get(k1).has_value());
+    EXPECT_TRUE(store.get(k3).has_value());
     fs::remove_all(dir);
 }
 

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "sim/metrics.hh"
-#include "sim/profiler.hh"
 #include "sim/stats.hh"
 #include "sim/stats_server.hh"
 #include "sim/table.hh"
@@ -66,9 +65,6 @@ usage(const SystemConfig &defaults)
         "                        trace and export it as a Chrome\n"
         "                        trace-event JSON file (load in\n"
         "                        Perfetto / chrome://tracing)\n"
-        "  --profile             profile the simulator itself: print\n"
-        "                        a per-phase host time breakdown and\n"
-        "                        events/s to stderr after the run\n"
         "  --stats-addr H:P      serve live telemetry over HTTP while\n"
         "                        the run executes: /metrics\n"
         "                        (Prometheus text format, including\n"
@@ -99,7 +95,6 @@ main(int argc, char **argv)
     bool warmup_set = false;
     bool want_energy = false;
     bool want_json = false;
-    bool want_profile = false;
     std::string stats_addr;
     std::string error;
 
@@ -113,8 +108,6 @@ main(int argc, char **argv)
             app_name = nextValue(args, i);
         } else if (flag == "--trace") {
             cfg.tracePath = nextValue(args, i);
-        } else if (flag == "--profile") {
-            want_profile = true;
         } else if (flag == "--stats-addr") {
             stats_addr = nextValue(args, i);
         } else if (flag == "--energy") {
@@ -149,10 +142,9 @@ main(int argc, char **argv)
     // itself so it can attach the live-telemetry observers, then
     // assembles the record through the same collectResults(), so
     // the output bytes are identical either way.
-    HostProfiler profiler;
     RunResult run;
     if (stats_addr.empty()) {
-        run = collectRun(cfg, *app, want_profile ? &profiler : nullptr);
+        run = collectRun(cfg, *app);
     } else {
         // Single-run telemetry: a one-point sweep matrix gives the
         // heartbeat exactly one cell, and the full simulator stat
@@ -171,8 +163,6 @@ main(int argc, char **argv)
         heartbeat.registerMetrics(registry);
 
         SimSystem system(cfg, *app);
-        if (want_profile)
-            system.setProfiler(&profiler);
         StatSet stats;
         system.registerStats(stats);
         StatSetExport stats_export(stats, registry, "vsnoop_sim_");
@@ -222,10 +212,6 @@ main(int argc, char **argv)
     if (!cfg.tracePath.empty())
         std::cerr << "vsnoopsim: trace written to " << cfg.tracePath
                   << "\n";
-    // Wall-clock profiles are nondeterministic, so they go to
-    // stderr and never into the JSON record.
-    if (want_profile)
-        writeProfile(std::cerr, profiler);
 
     if (want_json) {
         // The structured record covers everything the text tables

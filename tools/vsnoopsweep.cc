@@ -36,7 +36,6 @@
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
-#include "sim/profiler.hh"
 #include "sim/stats_server.hh"
 #include "system/heartbeat.hh"
 #include "system/sweep.hh"
@@ -86,10 +85,6 @@ usage(const SystemConfig &defaults)
         "                        file per run into DIR (must exist;\n"
         "                        named <app>-<policy>-<relocation>-\n"
         "                        <ro>-s<seed>.trace.json)\n"
-        "  --profile             profile the simulator itself: print\n"
-        "                        an aggregated per-phase host time\n"
-        "                        breakdown (CPU time summed across\n"
-        "                        workers) to stderr after the sweep\n"
         "\n"
         "live monitoring (JSON output stays byte-identical):\n"
         "  --stats-addr H:P      serve live telemetry over HTTP while\n"
@@ -302,7 +297,6 @@ main(int argc, char **argv)
     const SystemConfig defaults = matrix.base;
     bool warmup_set = false;
     bool list_only = false;
-    bool want_profile = false;
     unsigned jobs = 0;
     std::string out_path;
     std::string submit_addr;
@@ -356,8 +350,6 @@ main(int argc, char **argv)
                 matrix.seeds.push_back(parseUint(flag, seed));
         } else if (flag == "--trace-dir") {
             matrix.traceDir = nextValue(args, i);
-        } else if (flag == "--profile") {
-            want_profile = true;
         } else if (flag == "--stats-addr") {
             stats_addr = nextValue(args, i);
         } else if (flag == "--heartbeat") {
@@ -412,9 +404,8 @@ main(int argc, char **argv)
     if (!submit_addr.empty()) {
         if (!matrix.traceDir.empty())
             die("--submit cannot capture traces; drop --trace-dir");
-        if (want_profile || !stats_addr.empty())
-            die("--submit runs remotely; drop --profile and "
-                "--stats-addr");
+        if (!stats_addr.empty())
+            die("--submit runs remotely; drop --stats-addr");
         installSignalHandlers();
         return runSubmit(matrix, submit_addr, out_path);
     }
@@ -506,9 +497,8 @@ main(int argc, char **argv)
     });
 
     auto start = std::chrono::steady_clock::now();
-    HostProfiler profiler;
     SweepExecution exec = runSweepMonitored(
-        matrix, jobs, want_profile ? &profiler : nullptr, &heartbeat,
+        matrix, jobs, &heartbeat,
         [] { return g_signal != 0; },
         [&](std::size_t, const RunResult &result) {
             if (result.results.perf.enabled)
@@ -598,8 +588,6 @@ main(int argc, char **argv)
     if (exec.interrupted)
         std::cerr << " — interrupted";
     std::cerr << "\n";
-    if (want_profile)
-        writeProfile(std::cerr, profiler);
     if (exec.interrupted)
         return 128 + static_cast<int>(g_signal);
     return 0;
