@@ -58,6 +58,7 @@ CoherenceController::removeL2(CacheLine &line)
         if (l1_line != nullptr)
             l1_->remove(*l1_line);
     }
+    system_.memory().removeHolder(line.addr, core_);
     cache_.remove(line);
 }
 
@@ -370,7 +371,6 @@ CoherenceController::persistentGranted(HostAddr line)
 void
 CoherenceController::handleSnoop(const SnoopMsg &msg)
 {
-    snoopsReceived.inc();
     std::uint64_t line_num = msg.line.lineNum();
     CacheLine *line = cache_.find(msg.line);
 
@@ -675,6 +675,7 @@ CoherenceController::installLine(Mshr &mshr)
         mshr.access.vm < 32) {
         line.providerVms |= 1U << mshr.access.vm;
     }
+    system_.lineInstalled(core_, mshr.access.addr);
     fillL1(mshr.access.addr, mshr.access.vm, mshr.access.pageType);
 }
 

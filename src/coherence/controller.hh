@@ -81,7 +81,11 @@ class CoherenceController
      */
     void access(const MemAccess &access, AccessCallback callback);
 
-    /** Deliver a snoop request (called by the system at arrival). */
+    /**
+     * Deliver a snoop request (called by the system at arrival; a
+     * non-persistent snoop to a core without the line gets no call,
+     * as it would change nothing).
+     */
     void handleSnoop(const SnoopMsg &msg);
 
     /** Deliver a token/data response (at arrival). */
@@ -129,7 +133,10 @@ class CoherenceController
     std::uint64_t flushVmPrivateLines(VmId vm);
 
     /** @{ Per-controller statistics. */
-    /** Remote snoop requests looked up in this cache. */
+    /**
+     * Remote snoop requests sent to this cache, counted at send
+     * (next to CoherenceStats::snoopsDelivered).
+     */
     Counter snoopsReceived;
     /** Snoops that found (and acted on) a matching line. */
     Counter snoopHits;

@@ -122,12 +122,24 @@ CoherenceSystem::sendSnoops(CoreId from, const SnoopMsg &msg,
                             const SnoopTargets &targets)
 {
     Tick now = eq_.now();
+    // A non-persistent snoop acts only where the line is cached; at
+    // any other core its handler would just count it.  Those
+    // deliveries take their sequence number without an event, and
+    // lineInstalled() schedules one in place should the target gain
+    // the line before the snoop arrives (DESIGN.md §9).
+    CoreSet evented = msg.persistent
+                          ? targets.cores
+                          : targets.cores & memory_.holders(msg.line);
+    SkippedSnoops *kept = evented == targets.cores
+                              ? nullptr
+                              : &keepSkipped(msg, targets.cores);
     targets.cores.forEach([&](CoreId target) {
         vsnoop_assert(target != from, "policy must exclude the requester");
         Tick arrive = netSend(from, target, config_.controlBytes,
                               MsgClass::Request, now);
         stats.snoopsDelivered.inc();
         stats.snoopLookups.inc();
+        controllers_[target]->snoopsReceived.inc();
         // Charged at send (next to snoopLookups) so the interference
         // matrix total reconciles with the counter at any instant,
         // warmup reset included.  The page monitor charges here for
@@ -136,9 +148,21 @@ CoherenceSystem::sendSnoops(CoreId from, const SnoopMsg &msg,
             critpath_->snoopLookupRemote(msg.requesterVm, target);
         if (pagemon_ != nullptr)
             pagemon_->snoopDelivery(msg.line, msg.requesterVm, target);
-        eq_.scheduleFn(arrive, [this, target, msg] {
-            controller(target).handleSnoop(msg);
-        });
+        if (evented.contains(target)) {
+            eq_.scheduleFn(arrive, [this, target, msg] {
+                controller(target).handleSnoop(msg);
+            });
+            return;
+        }
+        std::uint64_t seq = eq_.takeSeq();
+        if (kept->skipped.empty())
+            kept->seq0 = seq - kept->rankOf(target);
+        vsnoop_assert(kept->seqOf(target) == seq,
+                      "a snoop send's deliveries must take consecutive "
+                      "sequence numbers");
+        kept->skipped.add(target);
+        kept->arrive[target] = arrive;
+        kept->last = std::max(kept->last, arrive);
     });
     if (targets.memory) {
         NodeId mc = memNodeFor(msg.line);
@@ -147,6 +171,93 @@ CoherenceSystem::sendSnoops(CoreId from, const SnoopMsg &msg,
         stats.memorySnoops.inc();
         eq_.scheduleFn(arrive, [this, msg] { handleMemorySnoop(msg); });
     }
+}
+
+CoherenceSystem::SkippedSnoops &
+CoherenceSystem::keepSkipped(const SnoopMsg &msg, CoreSet targets)
+{
+    if (liveSkipped_ >= sweepAt_)
+        sweepSkipped();
+    std::uint32_t *head =
+        skippedByLine_.emplace(msg.line.lineNum(), kNoRecord).first;
+    std::uint32_t next = pruneSkipped(*head);
+    std::uint32_t index;
+    if (freeSkipped_.empty()) {
+        index = static_cast<std::uint32_t>(skipped_.size());
+        skipped_.emplace_back();
+    } else {
+        index = freeSkipped_.back();
+        freeSkipped_.pop_back();
+    }
+    *head = index;
+    liveSkipped_++;
+    SkippedSnoops &rec = skipped_[index];
+    rec.msg = msg;
+    rec.targets = targets;
+    rec.skipped = CoreSet{};
+    rec.last = 0;
+    rec.next = next;
+    return rec;
+}
+
+std::uint32_t
+CoherenceSystem::pruneSkipped(std::uint32_t head)
+{
+    std::uint32_t *link = &head;
+    while (*link != kNoRecord) {
+        SkippedSnoops &rec = skipped_[*link];
+        if (rec.skipped.empty() || rec.last < eq_.now()) {
+            freeSkipped_.push_back(*link);
+            liveSkipped_--;
+            *link = rec.next;
+        } else {
+            link = &rec.next;
+        }
+    }
+    return head;
+}
+
+void
+CoherenceSystem::sweepSkipped()
+{
+    std::vector<std::uint64_t> lines;
+    skippedByLine_.forEach([&](std::uint64_t line_num, std::uint32_t) {
+        lines.push_back(line_num);
+    });
+    for (std::uint64_t line_num : lines) {
+        std::uint32_t *head = skippedByLine_.find(line_num);
+        *head = pruneSkipped(*head);
+        if (*head == kNoRecord)
+            skippedByLine_.erase(line_num);
+    }
+    // Sweep again once the live set has doubled: amortized O(1) per
+    // record, and at most twice the live records stay allocated.
+    sweepAt_ = std::max(kMinSweep, 2 * liveSkipped_);
+}
+
+void
+CoherenceSystem::lineInstalled(CoreId core, HostAddr line)
+{
+    memory_.addHolder(line, core);
+    std::uint32_t *head = skippedByLine_.find(line.lineNum());
+    if (head == nullptr)
+        return;
+    *head = pruneSkipped(*head);
+    for (std::uint32_t i = *head; i != kNoRecord; i = skipped_[i].next) {
+        SkippedSnoops &rec = skipped_[i];
+        if (!rec.skipped.contains(core))
+            continue;
+        rec.skipped.remove(core);
+        Tick arrive = rec.arrive[core];
+        std::uint64_t seq = rec.seqOf(core);
+        if (eq_.passed(arrive, seq))
+            continue; // arrived while the core was not a holder
+        eq_.scheduleFnAt(arrive, seq, [this, core, msg = rec.msg] {
+            controller(core).handleSnoop(msg);
+        });
+    }
+    if (*head == kNoRecord)
+        skippedByLine_.erase(line.lineNum());
 }
 
 void
@@ -391,15 +502,21 @@ CoherenceSystem::checkInvariants() const
         HostAddr addr(line_num << kLineShift);
         std::uint32_t tokens = 0;
         std::uint32_t owners = 0;
+        CoreSet holders;
         for (const auto &ctrl : controllers_) {
             const CacheLine *line = ctrl->cache().find(addr);
             if (line != nullptr) {
                 tokens += line->tokens;
                 if (line->owner)
                     owners++;
+                holders.add(ctrl->core());
             }
             ctrl->sumMshrTokens(addr, tokens, owners);
         }
+        vsnoop_assert(holders == memory_.holders(addr),
+                      "holder mask of line ", addr.raw(), " is ",
+                      memory_.holders(addr).toString(), ", caches hold ",
+                      holders.toString());
         MemLineState mem = memory_.state(addr);
         tokens += mem.tokens;
         if (mem.owner)
@@ -416,6 +533,22 @@ CoherenceSystem::checkInvariants() const
                       "owner uniqueness violated for line ", addr.raw(),
                       ": ", owners, " owners");
     }
+
+    // A skipped delivery still to arrive must target a non-holder:
+    // an install would have scheduled it.
+    skippedByLine_.forEach([&](std::uint64_t, std::uint32_t head) {
+        for (std::uint32_t i = head; i != kNoRecord; i = skipped_[i].next) {
+            const SkippedSnoops &rec = skipped_[i];
+            rec.skipped.forEach([&](CoreId core) {
+                if (eq_.passed(rec.arrive[core], rec.seqOf(core)))
+                    return;
+                vsnoop_assert(controllers_[core]->cache().find(rec.msg.line) ==
+                                  nullptr,
+                              "skipped snoop for line ", rec.msg.line.raw(),
+                              " still to arrive at holder ", core);
+            });
+        }
+    });
 }
 
 } // namespace vsnoop

@@ -9,11 +9,19 @@
  * maintains the in-flight token ledger that makes system-wide token
  * conservation checkable at any instant — the key safety property
  * of token coherence.
+ *
+ * A snoop delivery gets an event only where it can act: at a core
+ * whose L2 holds the line at send time, or for a persistent request.
+ * Every other delivery keeps its would-be (tick, sequence) position
+ * and is scheduled there only if its target installs the line
+ * before it arrives, so the dispatch order is that of one event per
+ * delivery (DESIGN.md §9).
  */
 
 #ifndef VSNOOP_COHERENCE_SYSTEM_HH_
 #define VSNOOP_COHERENCE_SYSTEM_HH_
 
+#include <bit>
 #include <memory>
 #include <vector>
 
@@ -238,7 +246,10 @@ class CoherenceSystem
 
     /**
      * Verify token conservation and owner uniqueness across caches,
-     * memory, MSHRs and in-flight messages.  Panics on violation.
+     * memory, MSHRs and in-flight messages; that every line's holder
+     * mask matches the caches; and that no undispatched skipped
+     * snoop delivery targets a core holding its line.  Panics on
+     * violation.
      */
     void checkInvariants() const;
 
@@ -259,6 +270,13 @@ class CoherenceSystem
     /** Deliver a snoop at a memory controller. */
     void handleMemorySnoop(const SnoopMsg &msg);
 
+    /**
+     * @p core's L2 gained its copy of @p line: mark it a holder and
+     * schedule, in place, every skipped delivery to @p core for the
+     * line that has not yet arrived.
+     */
+    void lineInstalled(CoreId core, HostAddr line);
+
     /** network_.send, charging queue wait to the critpath accountant. */
     Tick netSend(NodeId src, NodeId dst, std::uint32_t bytes,
                  MsgClass cls, Tick now);
@@ -273,6 +291,51 @@ class CoherenceSystem
         std::uint32_t owners = 0;
     };
 
+    /** End of a SkippedSnoops list. */
+    static constexpr std::uint32_t kNoRecord = ~std::uint32_t{0};
+
+    /**
+     * The core deliveries of one sendSnoops() call that got no
+     * event: the targets that did not hold the line at send time.
+     * Each keeps the arrival tick and sequence number its event
+     * would have had.  Records for one line form a list through
+     * next; a record is dead once its last arrival is in the past.
+     */
+    struct SkippedSnoops
+    {
+        SnoopMsg msg;
+        /** Sequence number of the send's first core delivery. */
+        std::uint64_t seq0 = 0;
+        /** Every core target of the send, in sequence order. */
+        CoreSet targets;
+        /** Targets whose delivery still has no event. */
+        CoreSet skipped;
+        /** Latest arrival among the skipped deliveries. */
+        Tick last = 0;
+        std::uint32_t next = kNoRecord;
+        Tick arrive[CoreSet::kMaxCores] = {};
+
+        /** Targets of the send that precede @p core. */
+        std::uint64_t
+        rankOf(CoreId core) const
+        {
+            std::uint64_t below = (std::uint64_t{1} << core) - 1;
+            return std::popcount(targets.mask() & below);
+        }
+
+        /** Sequence number of the delivery to @p core. */
+        std::uint64_t seqOf(CoreId core) const { return seq0 + rankOf(core); }
+    };
+
+    /** A fresh record for @p msg at the head of its line's list. */
+    SkippedSnoops &keepSkipped(const SnoopMsg &msg, CoreSet targets);
+
+    /** Free the dead records of the list at @p head; the new head. */
+    std::uint32_t pruneSkipped(std::uint32_t head);
+
+    /** Prune every line's list and drop the empty ones. */
+    void sweepSkipped();
+
     EventQueue &eq_;
     Network &network_;
     TraceSink *trace_ = nullptr;
@@ -284,6 +347,16 @@ class CoherenceSystem
     std::vector<std::unique_ptr<CoherenceController>> controllers_;
     std::vector<NodeId> memNodes_;
     FlatMap<InflightState> inflight_;
+    /** @{ SkippedSnoops records, their free slots, list heads by
+     *  line, the live count, and the live count that triggers the
+     *  next sweep. */
+    std::vector<SkippedSnoops> skipped_;
+    std::vector<std::uint32_t> freeSkipped_;
+    FlatMap<std::uint32_t> skippedByLine_;
+    std::size_t liveSkipped_ = 0;
+    std::size_t sweepAt_ = kMinSweep;
+    static constexpr std::size_t kMinSweep = 128;
+    /** @} */
     /** Per-line FIFO of cores waiting for persistent-mode grants. */
     FlatMap<std::vector<CoreId>> persistent_;
     std::vector<VmId> friendOf_;

@@ -32,10 +32,58 @@ MainMemory::controllerFor(HostAddr line_addr) const
 MemLineState
 MainMemory::state(HostAddr line_addr) const
 {
-    const MemLineState *st = ledger_.find(line_addr.lineAligned().lineNum());
-    if (st == nullptr)
+    const LedgerEntry *entry =
+        ledger_.find(line_addr.lineAligned().lineNum());
+    if (entry == nullptr)
         return MemLineState{tokensPerLine_, true};
-    return *st;
+    return entry->state;
+}
+
+CoreSet
+MainMemory::holders(HostAddr line_addr) const
+{
+    const LedgerEntry *entry =
+        ledger_.find(line_addr.lineAligned().lineNum());
+    return entry == nullptr ? CoreSet{} : entry->holders;
+}
+
+MainMemory::LedgerEntry &
+MainMemory::holderEntry(HostAddr line_addr)
+{
+    LedgerEntry *entry = ledger_.find(line_addr.lineAligned().lineNum());
+    vsnoop_assert(entry != nullptr, "cached copy of line ", line_addr.raw(),
+                  " while memory holds every token");
+    return *entry;
+}
+
+void
+MainMemory::addHolder(HostAddr line_addr, CoreId core)
+{
+    holderEntry(line_addr).holders.add(core);
+}
+
+void
+MainMemory::removeHolder(HostAddr line_addr, CoreId core)
+{
+    holderEntry(line_addr).holders.remove(core);
+}
+
+void
+MainMemory::store(std::uint64_t key, LedgerEntry *entry, MemLineState cur)
+{
+    if (cur.tokens == tokensPerLine_ && cur.owner) {
+        // Back at the default state: drop the ledger entry.
+        if (entry != nullptr) {
+            vsnoop_assert(entry->holders.empty(), "every token of line ",
+                          key, " at memory with cached copies at ",
+                          entry->holders.toString());
+            ledger_.erase(key);
+        }
+    } else if (entry != nullptr) {
+        entry->state = cur;
+    } else {
+        ledger_.emplace(key, LedgerEntry{cur, CoreSet{}});
+    }
 }
 
 MemLineState
@@ -43,10 +91,10 @@ MainMemory::takeTokens(HostAddr line_addr, std::uint32_t want,
                        bool may_take_owner)
 {
     std::uint64_t key = line_addr.lineAligned().lineNum();
-    MemLineState *entry = ledger_.find(key);
+    LedgerEntry *entry = ledger_.find(key);
     MemLineState cur = (entry == nullptr)
         ? MemLineState{tokensPerLine_, true}
-        : *entry;
+        : entry->state;
 
     MemLineState taken;
     if (cur.tokens == 0)
@@ -65,15 +113,7 @@ MainMemory::takeTokens(HostAddr line_addr, std::uint32_t want,
         cur.owner = false;
     }
 
-    if (cur.tokens == tokensPerLine_ && cur.owner) {
-        // Back at the default state: drop the ledger entry.
-        if (entry != nullptr)
-            ledger_.erase(key);
-    } else if (entry != nullptr) {
-        *entry = cur;
-    } else {
-        ledger_.emplace(key, cur);
-    }
+    store(key, entry, cur);
     return taken;
 }
 
@@ -84,10 +124,10 @@ MainMemory::returnTokens(HostAddr line_addr, std::uint32_t tokens,
     if (tokens == 0 && !owner)
         return;
     std::uint64_t key = line_addr.lineAligned().lineNum();
-    MemLineState *entry = ledger_.find(key);
+    LedgerEntry *entry = ledger_.find(key);
     MemLineState cur = (entry == nullptr)
         ? MemLineState{tokensPerLine_, true}
-        : *entry;
+        : entry->state;
 
     cur.tokens += tokens;
     if (owner) {
@@ -99,15 +139,7 @@ MainMemory::returnTokens(HostAddr line_addr, std::uint32_t tokens,
     vsnoop_assert(cur.tokens <= tokensPerLine_,
                   "token overflow at memory for line ", line_addr.raw(),
                   ": ", cur.tokens, " > ", tokensPerLine_);
-
-    if (cur.tokens == tokensPerLine_ && cur.owner) {
-        if (entry != nullptr)
-            ledger_.erase(key);
-    } else if (entry != nullptr) {
-        *entry = cur;
-    } else {
-        ledger_.emplace(key, cur);
-    }
+    store(key, entry, cur);
 }
 
 bool

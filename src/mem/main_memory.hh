@@ -8,6 +8,11 @@
  * deviate from that default, so its footprint tracks the number of
  * lines with cached copies rather than the address space.
  *
+ * Each ledger entry also carries the line's holder mask: the cores
+ * whose L2 holds a copy.  A cached copy holds at least one token, so
+ * every cached line has an entry; the coherence system reads the
+ * mask to skip snoop deliveries that cannot act (DESIGN.md §9).
+ *
  * The chip has several memory controllers attached to mesh nodes;
  * lines interleave across them by line number.  The ledger itself
  * is global (one token ledger per line regardless of controller).
@@ -20,6 +25,7 @@
 #include <vector>
 
 #include "mem/addr.hh"
+#include "sim/core_set.hh"
 #include "sim/flat_table.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -93,6 +99,17 @@ class MainMemory
      */
     bool canProvideData(HostAddr line_addr, bool line_is_ro_shared) const;
 
+    /** Cores whose L2 holds @p line_addr (empty when uncached). */
+    CoreSet holders(HostAddr line_addr) const;
+
+    /** @{
+     * Mark @p core's L2 as gaining / losing its copy of
+     * @p line_addr.  The line must have tokens away from memory.
+     */
+    void addHolder(HostAddr line_addr, CoreId core);
+    void removeHolder(HostAddr line_addr, CoreId core);
+    /** @} */
+
     /** Number of lines whose tokens are (partially) cached. */
     std::size_t ledgerSize() const { return ledger_.size(); }
 
@@ -121,7 +138,7 @@ class MainMemory
     forEachLedgerLine(Fn &&fn) const
     {
         ledger_.forEach(
-            [&](std::uint64_t line_num, const MemLineState &) {
+            [&](std::uint64_t line_num, const LedgerEntry &) {
                 fn(line_num);
             });
     }
@@ -133,13 +150,28 @@ class MainMemory
     /** @} */
 
   private:
+    struct LedgerEntry
+    {
+        MemLineState state;
+        CoreSet holders;
+    };
+
+    /** The entry for @p line_addr, which must exist. */
+    LedgerEntry &holderEntry(HostAddr line_addr);
+
+    /**
+     * Write back @p cur as the state of @p key, whose entry is
+     * @p entry (nullptr when absent): the default state drops it.
+     */
+    void store(std::uint64_t key, LedgerEntry *entry, MemLineState cur);
+
     std::uint32_t tokensPerLine_;
     std::uint32_t numControllers_;
     /** numControllers_ - 1 when a power of two, else 0 (modulo path). */
     std::uint32_t ctrlMask_ = 0;
     Tick latency_;
     /** Lines deviating from the all-tokens-at-memory default. */
-    FlatMap<MemLineState> ledger_;
+    FlatMap<LedgerEntry> ledger_;
 };
 
 } // namespace vsnoop

@@ -11,6 +11,12 @@ namespace vsnoop
 void
 EventQueue::schedule(Event &event, Tick when)
 {
+    scheduleAt(event, when, seq_++);
+}
+
+void
+EventQueue::scheduleAt(Event &event, Tick when, std::uint64_t seq)
+{
     vsnoop_assert(when >= now_,
                   "scheduling into the past: when=", when, " now=", now_);
     if (perf_ != nullptr)
@@ -23,19 +29,27 @@ EventQueue::schedule(Event &event, Tick when)
     event.scheduled_ = true;
     event.when_ = when;
     event.token_ = nextToken_++;
-    HeapEntry entry{when, seq_++, &event, event.token_};
+    HeapEntry entry{when, seq, &event, event.token_};
     if (when - now_ < kWheelSize)
-        wheelAppend(entry);
+        wheelInsert(entry);
     else
         heapPush(entry);
     live_++;
 }
 
 void
-EventQueue::wheelAppend(const HeapEntry &entry)
+EventQueue::wheelInsert(const HeapEntry &entry)
 {
     Bucket &bucket = wheel_[entry.when & kWheelMask];
-    bucket.entries.push_back(entry);
+    if (bucket.entries.empty() || bucket.entries.back().seq < entry.seq) {
+        bucket.entries.push_back(entry);
+    } else {
+        auto pos = std::upper_bound(
+            bucket.entries.begin() + static_cast<std::ptrdiff_t>(bucket.head),
+            bucket.entries.end(), entry.seq,
+            [](std::uint64_t seq, const HeapEntry &e) { return seq < e.seq; });
+        bucket.entries.insert(pos, entry);
+    }
     wheelCount_++;
     if (entry.when < peekCursor_)
         peekCursor_ = entry.when;
@@ -62,7 +76,7 @@ EventQueue::advanceTo(Tick t)
                 break;
             HeapEntry moved = top;
             heapPopTop();
-            wheelAppend(moved);
+            wheelInsert(moved);
         } else {
             // The clock never passes a live entry, so an entry left
             // behind it must have been descheduled or rescheduled.
@@ -89,6 +103,21 @@ EventQueue::deschedule(Event &event)
 void
 EventQueue::scheduleFn(Tick when, Callback fn)
 {
+    schedule(ownedSlot(std::move(fn)), when);
+}
+
+void
+EventQueue::scheduleFnAt(Tick when, std::uint64_t seq, Callback fn)
+{
+    vsnoop_assert(seq < seq_, "sequence number ", seq, " was never taken");
+    vsnoop_assert(!passed(when, seq), "scheduling at an already-dispatched "
+                  "position: when=", when, " seq=", seq, " now=", now_);
+    scheduleAt(ownedSlot(std::move(fn)), when, seq);
+}
+
+EventQueue::OwnedEvent &
+EventQueue::ownedSlot(Callback fn)
+{
     OwnedEvent *slot;
     if (!freeSlots_.empty()) {
         slot = pool_[freeSlots_.back()].get();
@@ -105,7 +134,7 @@ EventQueue::scheduleFn(Tick when, Callback fn)
         }
     }
     slot->fn = std::move(fn);
-    schedule(*slot, when);
+    return *slot;
 }
 
 void
@@ -241,6 +270,8 @@ void
 EventQueue::dispatch(HeapEntry &entry)
 {
     advanceTo(entry.when);
+    lastWhen_ = entry.when;
+    lastSeq_ = entry.seq;
     entry.event->scheduled_ = false;
     entry.event->token_ = 0;
     live_--;

@@ -20,15 +20,19 @@
  * tick) without ever being handed its own still-running slot.
  *
  * Pending events live in a calendar queue: a timing wheel of
- * per-tick FIFO buckets covering the near future (where nearly all
+ * per-tick buckets covering the near future (where nearly all
  * protocol events land — message deliveries and retry windows are
  * all well under the wheel span), with a 4-ary min-heap overflow for
  * far-future events (migration epochs, periodic scans).  Insert and
  * extract are O(1) on the wheel path, and dispatch order is exactly
- * the (tick, schedule-order) total order a comparison heap would
- * produce: a bucket only ever receives entries for a single tick in
- * ascending sequence order, and overflow entries for a tick are
- * migrated into its bucket before any direct insert can target it.
+ * the (tick, sequence) total order a comparison heap would produce:
+ * a bucket only ever holds entries for a single tick and stays
+ * sorted by sequence number.  Ordinary schedules append (their
+ * sequence number is the newest); overflow entries for a tick are
+ * migrated into its bucket, in heap order, before any direct insert
+ * can target it; and a late insert (scheduleFnAt(), at a sequence
+ * number reserved earlier with takeSeq()) goes to its upper_bound
+ * position behind the bucket's head.
  */
 
 #ifndef VSNOOP_SIM_EVENT_QUEUE_HH_
@@ -124,6 +128,35 @@ class EventQueue
     }
 
     /**
+     * Reserve the sequence number the next schedule would take,
+     * without scheduling anything.  A caller that decides not to
+     * schedule an event yet keeps its place in the (tick, sequence)
+     * order this way, and can still schedule it there later with
+     * scheduleFnAt().
+     */
+    std::uint64_t takeSeq() { return seq_++; }
+
+    /**
+     * Schedule a one-shot callback at the position (@p when, @p seq)
+     * reserved earlier with takeSeq(): it dispatches exactly where an
+     * event scheduled at reservation time would have.  Panics when
+     * that position has already been dispatched (see passed()).
+     */
+    void scheduleFnAt(Tick when, std::uint64_t seq, Callback fn);
+
+    /**
+     * True when an event at (@p when, @p seq) would already have
+     * been dispatched: the clock is past @p when, or the last event
+     * dispatched sits at @p when with a sequence number of at least
+     * @p seq.
+     */
+    bool
+    passed(Tick when, std::uint64_t seq) const
+    {
+        return when < now_ || (when == lastWhen_ && seq <= lastSeq_);
+    }
+
+    /**
      * Dispatch pending events in order until the queue drains or
      * the limit is hit.
      *
@@ -201,9 +234,10 @@ class EventQueue
 
     /**
      * One wheel slot.  While a tick is within the wheel's window its
-     * bucket is a FIFO: entries append at the back and drain from
-     * head.  head-consumed prefixes are reclaimed lazily when the
-     * bucket empties (capacity is kept for reuse).
+     * bucket is sorted by sequence number: entries drain from head,
+     * and are inserted at the back or, late, behind head.
+     * head-consumed prefixes are reclaimed lazily when the bucket
+     * empties (capacity is kept for reuse).
      */
     struct Bucket
     {
@@ -231,14 +265,23 @@ class EventQueue
     /** Dispatch one popped entry. */
     void dispatch(HeapEntry &entry);
 
-    /** Append to the wheel bucket for entry.when. */
-    void wheelAppend(const HeapEntry &entry);
+    /** Stamp @p event and queue it at (@p when, @p seq). */
+    void scheduleAt(Event &event, Tick when, std::uint64_t seq);
+
+    /** A free one-shot slot holding @p fn. */
+    OwnedEvent &ownedSlot(Callback fn);
+
+    /**
+     * Insert into the wheel bucket for entry.when at its sequence
+     * position: an append, except for late inserts.
+     */
+    void wheelInsert(const HeapEntry &entry);
 
     /**
      * Advance the clock and slide the wheel window: overflow entries
      * that fall inside the new window move into their buckets.  Must
-     * run at every now_ change so bucket FIFO order stays sequence
-     * order (see file comment).
+     * run at every now_ change so buckets stay sequence-sorted (see
+     * file comment).
      */
     void advanceTo(Tick t);
 
@@ -264,6 +307,9 @@ class EventQueue
     std::vector<std::unique_ptr<OwnedEvent>> pool_;
     std::vector<std::uint32_t> freeSlots_;
     Tick now_ = 0;
+    /** Position of the last dispatched event (see passed()). */
+    Tick lastWhen_ = kMaxTick;
+    std::uint64_t lastSeq_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t nextToken_ = 1;
     std::uint64_t processed_ = 0;

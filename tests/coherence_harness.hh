@@ -80,6 +80,15 @@ class CoherenceHarness
         system->checkInvariants();
     }
 
+    /** drain(), checking the invariants after every event. */
+    void
+    drainCheckingEveryEvent(std::uint64_t limit)
+    {
+        for (std::uint64_t n = 0; n < limit && eq.step(); ++n)
+            system->checkInvariants();
+        system->checkInvariants();
+    }
+
     /** Issue and complete one access; asserts completion. */
     Outcome
     access(CoreId core, std::uint64_t addr, bool write, VmId vm = 0,

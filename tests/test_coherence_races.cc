@@ -92,9 +92,11 @@ TEST(CoherenceRaces, UpgradeRacesManyReaders)
 
 /**
  * Randomized stress: cores issue random reads/writes over a small
- * address pool, one outstanding access per core per round, with
- * token conservation checked after each drain.  Parameterized over
- * RNG seeds to cover different interleavings.
+ * address pool, one outstanding access per core per round, with the
+ * invariants checked after every event (so the short window between
+ * a reader's install and the arrival of a snoop sent before it is
+ * inspected too).  Parameterized over RNG seeds to cover different
+ * interleavings.
  */
 class RandomStress : public ::testing::TestWithParam<std::uint64_t>
 {
@@ -124,7 +126,7 @@ TEST_P(RandomStress, ConservationHoldsUnderRandomTraffic)
             pending.push_back(h.issue(c, addr, write,
                                       static_cast<VmId>(c / 4)));
         }
-        h.drain(20'000'000);
+        h.drainCheckingEveryEvent(20'000'000);
         for (const auto &o : pending)
             ASSERT_TRUE(o->fired) << "round " << round;
     }
@@ -148,6 +150,40 @@ TEST(CoherenceRaces, RepeatedTotalConflictResolves)
         for (const auto &o : pending)
             ASSERT_TRUE(o->fired) << "round " << round;
     }
+}
+
+TEST(CoherenceRaces, ReaderInstallingUnderAnInFlightGetXAnswersIt)
+{
+    // Core b's read of the line completes after core a's GetX has
+    // left for b but before it arrives.  At send time b held no copy,
+    // so the delivery had no event of its own; b's install must give
+    // it one, or b keeps its token and a's first attempt fails.
+    constexpr CoreId a = 15;
+    constexpr CoreId b = 0;
+    Tick installed = 0;
+    {
+        CoherenceHarness probe;
+        Tick done = probe.access(b, kAddr, false).doneAt;
+        installed = done - ProtocolConfig{}.l2Latency;
+    }
+
+    CoherenceHarness h;
+    auto read = h.issue(b, kAddr, false);
+    h.eq.runUntil(installed - 1);
+    ASSERT_FALSE(read->fired);
+    ASSERT_EQ(h.line(b, kAddr), nullptr);
+    ASSERT_FALSE(h.system->memory().holders(HostAddr(kAddr)).contains(b));
+    auto write = h.issue(a, kAddr, true);
+    h.drain();
+
+    ASSERT_TRUE(read->fired);
+    ASSERT_TRUE(write->fired);
+    EXPECT_EQ(h.system->stats.retries.value(), 0u);
+    EXPECT_EQ(h.line(b, kAddr), nullptr);
+    const CacheLine *owned = h.line(a, kAddr);
+    ASSERT_NE(owned, nullptr);
+    EXPECT_EQ(owned->tokens, kAllTokens);
+    EXPECT_TRUE(owned->owner);
 }
 
 TEST(CoherenceRaces, ConflictOnDifferentLinesIsIndependent)

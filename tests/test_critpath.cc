@@ -26,7 +26,7 @@ smallConfig()
     SystemConfig cfg;
     cfg.accessesPerVcpu = 3000;
     cfg.l2.sizeBytes = 32 * 1024; // keep runs quick
-    cfg.invariantCheckPeriod = 200000;
+    cfg.invariantCheckPeriod = 12500;
     return cfg;
 }
 

@@ -31,6 +31,37 @@ class RecordingEvent : public Event
     int id_;
 };
 
+/**
+ * Dispatch log of events 1-4, scheduled in that order at ticks
+ * when, when, when, when + 1, after a marker event 0 at @p mark_at
+ * (<= when).  Eagerly, event 2 is scheduled in turn; late, only its
+ * sequence number is taken in turn, and the marker schedules it
+ * there with scheduleFnAt().
+ */
+std::vector<int>
+reservedSlotLog(Tick when, Tick mark_at, bool late, EventQueuePerf &perf)
+{
+    EventQueue eq;
+    eq.setPerf(&perf);
+    std::vector<int> log;
+    auto record = [&log](int id) { return [&log, id] { log.push_back(id); }; };
+    std::uint64_t seq = 0;
+    eq.scheduleFn(mark_at, [&] {
+        log.push_back(0);
+        if (late)
+            eq.scheduleFnAt(when, seq, record(2));
+    });
+    eq.scheduleFn(when, record(1));
+    if (late)
+        seq = eq.takeSeq();
+    else
+        eq.scheduleFn(when, record(2));
+    eq.scheduleFn(when, record(3));
+    eq.scheduleFn(when + 1, record(4));
+    eq.run();
+    return log;
+}
+
 } // namespace
 
 TEST(EventQueue, DispatchesInTimeOrder)
@@ -321,6 +352,67 @@ TEST(EventQueue, PerfDetachStopsCounting)
     eq.run();
     EXPECT_EQ(perf.schedules, 1u);
     EXPECT_EQ(log, (std::vector<int>{1}));
+}
+
+TEST(EventQueue, LateInsertDispatchesAtItsReservedPosition)
+{
+    struct Case
+    {
+        const char *path;
+        Tick when;
+        Tick markAt;
+    };
+    // A wheel bucket ahead of the clock; the overflow heap (the slot
+    // is kWheelSize = 4096 or more ticks ahead when it is filled);
+    // and the bucket being dispatched, behind its head.
+    for (Case c : {Case{"wheel", 50, 10}, Case{"overflow", 5000, 1},
+                   Case{"current bucket", 50, 50}}) {
+        EventQueuePerf eager_perf;
+        EventQueuePerf late_perf;
+        std::vector<int> eager = reservedSlotLog(c.when, c.markAt, false,
+                                                 eager_perf);
+        std::vector<int> late = reservedSlotLog(c.when, c.markAt, true,
+                                                late_perf);
+        EXPECT_EQ(eager, (std::vector<int>{0, 1, 2, 3, 4})) << c.path;
+        EXPECT_EQ(late, eager) << c.path;
+        // The late insert is a schedule and lands in the same
+        // structure as the eager one would have.
+        EXPECT_EQ(late_perf.schedules, 5u) << c.path;
+        EXPECT_EQ(late_perf.schedules, eager_perf.schedules) << c.path;
+        EXPECT_EQ(late_perf.wheelInserts, eager_perf.wheelInserts)
+            << c.path;
+        EXPECT_EQ(late_perf.overflowInserts, eager_perf.overflowInserts)
+            << c.path;
+    }
+}
+
+TEST(EventQueue, PassedTracksTheDispatchPosition)
+{
+    EventQueue eq;
+    std::uint64_t early = eq.takeSeq();
+    EXPECT_FALSE(eq.passed(0, early));
+    std::uint64_t at_20 = 0;
+    eq.scheduleFn(20, [&] {
+        EXPECT_TRUE(eq.passed(20, early));
+        EXPECT_TRUE(eq.passed(20, at_20));
+        EXPECT_FALSE(eq.passed(20, at_20 + 1));
+        EXPECT_FALSE(eq.passed(21, early));
+    });
+    at_20 = early + 1;
+    eq.run();
+    EXPECT_TRUE(eq.passed(19, at_20 + 1));
+}
+
+TEST(EventQueueDeath, SchedulingAtADispatchedPositionPanics)
+{
+    EventQueue eq;
+    std::uint64_t seq = eq.takeSeq();
+    eq.scheduleFn(20, [] {});
+    eq.run();
+    // The slot at tick 20 precedes the event just dispatched there.
+    EXPECT_DEATH(eq.scheduleFnAt(20, seq, [] {}), "already-dispatched");
+    EXPECT_DEATH(eq.scheduleFnAt(10, seq, [] {}), "already-dispatched");
+    EXPECT_DEATH(eq.scheduleFnAt(30, seq + 5, [] {}), "never taken");
 }
 
 TEST(EventQueueDeath, SchedulingIntoThePastPanics)

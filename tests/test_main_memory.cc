@@ -116,6 +116,32 @@ TEST(MainMemory, ForEachLedgerLineVisitsDeviations)
     EXPECT_EQ(seen, 2);
 }
 
+TEST(MainMemory, HolderMaskRidesTheLedgerEntry)
+{
+    MainMemory mem(16, 4, 80);
+    EXPECT_TRUE(mem.holders(kLine).empty());
+    mem.takeTokens(kLine, 2, false);
+    mem.addHolder(kLine, 3);
+    mem.addHolder(kLine, 9);
+    mem.returnTokens(kLine, 1, false); // tokens move; holders stay
+    EXPECT_EQ(mem.holders(kLine), CoreSet::fromMask((1u << 3) | (1u << 9)));
+    mem.removeHolder(kLine, 3);
+    mem.removeHolder(kLine, 9);
+    EXPECT_TRUE(mem.holders(kLine).empty());
+    mem.returnTokens(kLine, 1, false);
+    EXPECT_EQ(mem.ledgerSize(), 0u);
+}
+
+TEST(MainMemoryDeath, HolderNeedsTokensAwayFromMemory)
+{
+    MainMemory mem(16, 4, 80);
+    EXPECT_DEATH(mem.addHolder(kLine, 0), "every token");
+    mem.takeTokens(kLine, 1, false);
+    mem.addHolder(kLine, 0);
+    // Every token back at memory while a cache still holds a copy.
+    EXPECT_DEATH(mem.returnTokens(kLine, 1, false), "cached copies");
+}
+
 TEST(MainMemoryDeath, OverflowPanics)
 {
     MainMemory mem(16, 4, 80);

@@ -23,7 +23,7 @@ sweepConfig()
     SystemConfig cfg;
     cfg.accessesPerVcpu = 1200;
     cfg.l2.sizeBytes = 16 * 1024;
-    cfg.invariantCheckPeriod = 100000;
+    cfg.invariantCheckPeriod = 6250;
     return cfg;
 }
 

@@ -20,7 +20,7 @@ smallConfig()
     SystemConfig cfg;
     cfg.accessesPerVcpu = 3000;
     cfg.l2.sizeBytes = 32 * 1024; // keep runs quick
-    cfg.invariantCheckPeriod = 200000;
+    cfg.invariantCheckPeriod = 12500;
     return cfg;
 }
 
@@ -210,6 +210,45 @@ TEST(SimSystem, MixedAppsPerVm)
     SimSystem sys(cfg, apps);
     sys.run();
     EXPECT_EQ(sys.results().totalAccesses, 16000u);
+}
+
+TEST(SimSystem, InvariantsHoldOn64CoreTokenB)
+{
+    // Every miss snoops the 63 other cores, nearly all of them
+    // non-holders whose deliveries are skipped: holder masks and
+    // skipped deliveries are checked at the largest machine size.
+    SystemConfig cfg = smallConfig();
+    cfg.mesh.width = 8;
+    cfg.mesh.height = 8;
+    cfg.numVms = 16;
+    cfg.vcpusPerVm = 4;
+    cfg.policy = PolicyKind::TokenB;
+    cfg.accessesPerVcpu = 600;
+    cfg.invariantCheckPeriod = 1;
+    SimSystem sys(cfg, quickApp());
+    sys.run();
+    SystemResults r = sys.results();
+    EXPECT_EQ(r.totalAccesses, 64u * cfg.accessesPerVcpu);
+    // Each transaction's first attempt alone snoops all 64 tags.
+    EXPECT_GE(r.snoopLookups, 64u * r.transactions);
+}
+
+TEST(SimSystem, InvariantsHoldUnderSpeculativeRemovalAndMigration)
+{
+    // counter-threshold removes cores from vCPU maps speculatively,
+    // so filtered snoops miss holders and retry; migrations keep
+    // the maps (and which cores hold what) moving.
+    SystemConfig cfg = smallConfig();
+    cfg.policy = PolicyKind::VirtualSnoop;
+    cfg.vsnoop.relocation = RelocationMode::CounterThreshold;
+    cfg.migrationPeriod = 20000;
+    cfg.accessesPerVcpu = 2000;
+    cfg.invariantCheckPeriod = 1;
+    SimSystem sys(cfg, findApp("canneal"));
+    sys.run();
+    SystemResults r = sys.results();
+    EXPECT_EQ(r.totalAccesses, 16u * cfg.accessesPerVcpu);
+    EXPECT_GT(r.retries, 0u);
 }
 
 TEST(SimSystemDeath, OvercommitIsRejected)

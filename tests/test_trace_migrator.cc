@@ -81,7 +81,7 @@ TEST(TraceMigrator, SchedulerTraceDrivesCoherenceRun)
     cfg.accessesPerVcpu = 3000;
     cfg.l2.sizeBytes = 32 * 1024;
     cfg.policy = PolicyKind::VirtualSnoop;
-    cfg.invariantCheckPeriod = 200000;
+    cfg.invariantCheckPeriod = 12500;
     cfg.placementTrace =
         std::make_shared<const std::vector<PlacementEvent>>(
             sched_result.trace);
