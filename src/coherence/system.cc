@@ -122,6 +122,8 @@ CoherenceSystem::sendSnoops(CoreId from, const SnoopMsg &msg,
                             const SnoopTargets &targets)
 {
     Tick now = eq_.now();
+    vsnoop_assert(!targets.cores.contains(from),
+                  "policy must exclude the requester");
     // A non-persistent snoop acts only where the line is cached; at
     // any other core its handler would just count it.  Those
     // deliveries take their sequence number without an event, and
@@ -133,12 +135,27 @@ CoherenceSystem::sendSnoops(CoreId from, const SnoopMsg &msg,
     SkippedSnoops *kept = evented == targets.cores
                               ? nullptr
                               : &keepSkipped(msg, targets.cores);
+    // One walk of the route tree for every core target, exactly as
+    // a send() per target in core order (DESIGN.md §12); each
+    // delivery then takes the sequence number its own schedule
+    // would have, from one reserved block.
+    Tick sent[CoreSet::kMaxCores];
+    Tick *arrive = kept != nullptr ? kept->arrive : sent;
+    SendInfo info;
+    network_.multicast(from, targets.cores, config_.controlBytes,
+                       MsgClass::Request, now, arrive, &info);
+    if (critpath_ != nullptr)
+        critpath_->nocWait(MsgClass::Request, info.queueWait);
+    std::uint64_t deliveries = targets.cores.count();
+    std::uint64_t seq0 = eq_.takeSeqs(deliveries);
+    stats.snoopsDelivered.inc(deliveries);
+    stats.snoopLookups.inc(deliveries);
+    if (kept != nullptr) {
+        kept->seq0 = seq0;
+        kept->skipped = targets.cores.minus(evented);
+    }
+    std::uint64_t rank = 0;
     targets.cores.forEach([&](CoreId target) {
-        vsnoop_assert(target != from, "policy must exclude the requester");
-        Tick arrive = netSend(from, target, config_.controlBytes,
-                              MsgClass::Request, now);
-        stats.snoopsDelivered.inc();
-        stats.snoopLookups.inc();
         controllers_[target]->snoopsReceived.inc();
         // Charged at send (next to snoopLookups) so the interference
         // matrix total reconciles with the counter at any instant,
@@ -149,20 +166,14 @@ CoherenceSystem::sendSnoops(CoreId from, const SnoopMsg &msg,
         if (pagemon_ != nullptr)
             pagemon_->snoopDelivery(msg.line, msg.requesterVm, target);
         if (evented.contains(target)) {
-            eq_.scheduleFn(arrive, [this, target, msg] {
-                controller(target).handleSnoop(msg);
-            });
-            return;
+            eq_.scheduleFnAt(arrive[target], seq0 + rank,
+                             [this, target, msg] {
+                                 controller(target).handleSnoop(msg);
+                             });
+        } else {
+            kept->last = std::max(kept->last, arrive[target]);
         }
-        std::uint64_t seq = eq_.takeSeq();
-        if (kept->skipped.empty())
-            kept->seq0 = seq - kept->rankOf(target);
-        vsnoop_assert(kept->seqOf(target) == seq,
-                      "a snoop send's deliveries must take consecutive "
-                      "sequence numbers");
-        kept->skipped.add(target);
-        kept->arrive[target] = arrive;
-        kept->last = std::max(kept->last, arrive);
+        ++rank;
     });
     if (targets.memory) {
         NodeId mc = memNodeFor(msg.line);

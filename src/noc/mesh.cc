@@ -22,6 +22,27 @@ Mesh::Mesh(const MeshConfig &config)
     flitShift_ = static_cast<std::uint32_t>(std::countr_zero(linkBytes_));
     links_.assign(static_cast<std::size_t>(numNodes()) * kLinkStride,
                   LinkState{});
+    colMask_.assign(width_, 0);
+    eastOf_.assign(width_, 0);
+    westOf_.assign(width_, 0);
+    northOf_.assign(height_, 0);
+    southOf_.assign(height_, 0);
+    NodeId masked = std::min<NodeId>(numNodes(), CoreSet::kMaxCores);
+    for (NodeId n = 0; n < masked; ++n) {
+        std::uint64_t bit = std::uint64_t{1} << n;
+        std::uint32_t x = nodeX(n);
+        std::uint32_t y = nodeY(n);
+        nodeMask_ |= bit;
+        colMask_[x] |= bit;
+        for (std::uint32_t c = 0; c < x; ++c)
+            eastOf_[c] |= bit;
+        for (std::uint32_t c = x + 1; c < width_; ++c)
+            westOf_[c] |= bit;
+        for (std::uint32_t r = 0; r < y; ++r)
+            northOf_[r] |= bit;
+        for (std::uint32_t r = y + 1; r < height_; ++r)
+            southOf_[r] |= bit;
+    }
 }
 
 std::size_t
@@ -120,6 +141,7 @@ Mesh::send(NodeId src, NodeId dst, std::uint32_t bytes, MsgClass cls,
     std::uint32_t y = nodeY(src);
     std::uint32_t dst_x = nodeX(dst);
     std::uint32_t dst_y = nodeY(dst);
+    const HopTiming timing{routerPipeline_, linkLatency_, occupancy};
     Tick head = now;
     auto walkLeg = [&](std::size_t idx, std::ptrdiff_t stride,
                        std::uint32_t steps) {
@@ -127,22 +149,16 @@ Mesh::send(NodeId src, NodeId dst, std::uint32_t bytes, MsgClass cls,
             perf_->legLength.sample(steps);
         for (std::uint32_t s = 0; s < steps; ++s) {
             LinkState &link = links_[idx];
-            Tick ready = head + routerPipeline_;
-            if (link.free > ready) {
-                link.waitCycles += link.free - ready;
-                if (info != nullptr)
-                    info->queueWait += link.free - ready;
-            }
+            Tick wait = timing.reserve(link.free, head);
+            link.waitCycles += wait;
+            if (info != nullptr)
+                info->queueWait += wait;
             // Zero-wait hops land in bucket 0, so the histogram is
             // the full backlog distribution, not just its tail.
             if (perf_ != nullptr)
-                perf_->sendBacklog.sample(
-                    link.free > ready ? link.free - ready : 0);
-            Tick start = std::max(ready, link.free);
-            link.free = start + occupancy;
+                perf_->sendBacklog.sample(wait);
             link.byteHops[ci] += linkBytesCarried;
             link.busyCycles += occupancy;
-            head = start + linkLatency_;
             idx = static_cast<std::size_t>(
                 static_cast<std::ptrdiff_t>(idx) + stride);
         }
@@ -164,6 +180,110 @@ Mesh::send(NodeId src, NodeId dst, std::uint32_t bytes, MsgClass cls,
     }
     // Tail flits trail the head on the final link.
     return head + (flits - 1) * linkLatency_;
+}
+
+void
+Mesh::multicast(NodeId src, CoreSet dsts, std::uint32_t bytes, MsgClass cls,
+                Tick now, Tick *arrive, SendInfo *info)
+{
+    vsnoop_assert(src < numNodes() && (dsts.mask() & ~nodeMask_) == 0,
+                  "node out of range: src=", src, " dsts=", dsts.toString());
+
+    auto ci = static_cast<std::size_t>(cls);
+    std::uint32_t flits = flitsFor(bytes);
+    std::uint64_t linkBytesCarried =
+        static_cast<std::uint64_t>(flits) * linkBytes_;
+    Tick occupancy = static_cast<Tick>(flits) * linkLatency_;
+    const HopTiming timing{routerPipeline_, linkLatency_, occupancy};
+    MeshPerf *perf = perf_;
+    std::uint32_t sx = nodeX(src);
+    std::uint32_t sy = nodeY(src);
+    std::uint64_t local = src < CoreSet::kMaxCores
+                              ? dsts.mask() & (std::uint64_t{1} << src)
+                              : 0;
+    std::uint64_t remote = dsts.mask() & ~local;
+
+    // head[d]: where destination d's head flit is along its route.
+    Tick head[CoreSet::kMaxCores];
+    for (std::uint64_t rest = remote; rest != 0; rest &= rest - 1) {
+        auto d = static_cast<NodeId>(std::countr_zero(rest));
+        head[d] = now;
+        if (perf != nullptr) {
+            std::uint32_t x = nodeX(d);
+            std::uint32_t y = nodeY(d);
+            if (x != sx)
+                perf->legLength.sample(x > sx ? x - sx : sx - x);
+            if (y != sy)
+                perf->legLength.sample(y > sy ? y - sy : sy - y);
+        }
+    }
+
+    // One link of the tree: the destinations @p beyond it cross it
+    // in send order, with its horizon and sums held in locals.
+    std::uint64_t hops = 0;
+    Tick waited = 0;
+    auto cross = [&](std::size_t idx, std::uint64_t beyond) {
+        LinkState &link = links_[idx];
+        Tick free = link.free;
+        Tick wait = 0;
+        for (std::uint64_t rest = beyond; rest != 0; rest &= rest - 1) {
+            Tick w = timing.reserve(free, head[std::countr_zero(rest)]);
+            wait += w;
+            if (perf != nullptr)
+                perf->sendBacklog.sample(w);
+        }
+        auto crossed = static_cast<std::uint64_t>(std::popcount(beyond));
+        link.free = free;
+        link.waitCycles += wait;
+        link.byteHops[ci] += crossed * linkBytesCarried;
+        link.busyCycles += crossed * occupancy;
+        hops += crossed;
+        waited += wait;
+    };
+    // The source row, outward both ways; then, from where each
+    // column meets that row, the column outward both ways.  A link
+    // precedes every link beyond it, so each head is current when
+    // it is read.
+    std::size_t row = std::size_t{width_} * kLinkStride;
+    std::size_t idx = linkIndex(src, East);
+    for (std::uint32_t x = sx; (remote & eastOf_[x]) != 0;
+         ++x, idx += kLinkStride)
+        cross(idx, remote & eastOf_[x]);
+    idx = linkIndex(src, West);
+    for (std::uint32_t x = sx; (remote & westOf_[x]) != 0;
+         --x, idx -= kLinkStride)
+        cross(idx, remote & westOf_[x]);
+    for (std::uint32_t x = 0; x < width_; ++x) {
+        std::uint64_t column = remote & colMask_[x];
+        if (column == 0)
+            continue;
+        idx = linkIndex(nodeAt(x, sy), North);
+        for (std::uint32_t y = sy; (column & northOf_[y]) != 0;
+             ++y, idx += row)
+            cross(idx, column & northOf_[y]);
+        idx = linkIndex(nodeAt(x, sy), South);
+        for (std::uint32_t y = sy; (column & southOf_[y]) != 0;
+             --y, idx -= row)
+            cross(idx, column & southOf_[y]);
+    }
+
+    Tick tail = static_cast<Tick>(flits - 1) * linkLatency_;
+    for (std::uint64_t rest = remote; rest != 0; rest &= rest - 1) {
+        auto d = static_cast<NodeId>(std::countr_zero(rest));
+        arrive[d] = head[d] + tail;
+    }
+    std::uint64_t sends = dsts.count();
+    if (local != 0) {
+        // As in send(): one hop charged, absorbed by the loopback.
+        links_[linkIndex(src, Local)].byteHops[ci] += linkBytesCarried;
+        arrive[src] = now + localLatency_;
+    }
+    stats_.messages[ci].inc(sends);
+    stats_.bytes[ci].inc(sends * bytes);
+    stats_.byteHops[ci].inc(linkBytesCarried *
+                            (hops + (local != 0 ? 1 : 0)));
+    if (info != nullptr)
+        *info = SendInfo{static_cast<std::uint32_t>(hops), waited};
 }
 
 std::vector<LinkStat>

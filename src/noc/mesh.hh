@@ -14,11 +14,22 @@
  * it preserves the two quantities the paper's evaluation depends
  * on: per-message latency as a function of distance and load, and
  * exact byte-hop traffic accounting.
+ *
+ * A snoop broadcast goes out as one multicast(), not one send() per
+ * target.  The XY routes from one source form a tree (the source
+ * row's East/West links, then each column's North/South links) in
+ * which every directed link appears once, so multicast() walks that
+ * tree link by link, passing the destinations beyond each link
+ * through it in increasing node order.  Each link then sees exactly
+ * the sequence of reservations the per-destination sends would make
+ * (DESIGN.md §12); both walks take the same per-hop step,
+ * HopTiming::reserve().
  */
 
 #ifndef VSNOOP_NOC_MESH_HH_
 #define VSNOOP_NOC_MESH_HH_
 
+#include <algorithm>
 #include <vector>
 
 #include "noc/network.hh"
@@ -57,6 +68,11 @@ class Mesh : public Network
               MsgClass cls, Tick now,
               SendInfo *info = nullptr) override;
 
+    /** One walk of the XY route tree from @p src (file comment). */
+    void multicast(NodeId src, CoreSet dsts, std::uint32_t bytes,
+                   MsgClass cls, Tick now, Tick *arrive,
+                   SendInfo *info = nullptr) override;
+
     std::uint32_t numNodes() const override { return width_ * height_; }
 
     /**
@@ -84,7 +100,9 @@ class Mesh : public Network
     /**
      * Attach an internals counter block (sim/perfmon.hh); nullptr
      * detaches.  Branch-on-null: send() pays one predictable branch
-     * per leg and per hop when detached.
+     * per leg and per hop when detached, multicast() one per call
+     * and per hop.  Both record the same samples: one legLength per
+     * XY leg of every destination, one sendBacklog per hop.
      */
     void setPerf(MeshPerf *perf) { perf_ = perf; }
 
@@ -97,6 +115,37 @@ class Mesh : public Network
 
     /** Directions per node in the link arrays (incl. Local). */
     static constexpr std::size_t kLinkStride = 5;
+
+    /**
+     * The wormhole timing of one message, the step send() and
+     * multicast() both take at every link.  Built per call, so its
+     * fields stay in registers across the walk.
+     */
+    struct HopTiming
+    {
+        Tick routerPipeline;
+        Tick linkLatency;
+        /** Cycles the message holds each link: flits * linkLatency. */
+        Tick occupancy;
+
+        /**
+         * Move a head flit that reached a router at @p head across
+         * the outgoing link whose contention horizon is @p free: it
+         * is ready after the router pipeline, starts once the link
+         * is free, holds the link for the occupancy, and reaches the
+         * next router one link latency after it starts.  Returns the
+         * cycles it waited behind earlier traffic.
+         */
+        Tick
+        reserve(Tick &free, Tick &head) const
+        {
+            Tick ready = head + routerPipeline;
+            Tick start = std::max(ready, free);
+            free = start + occupancy;
+            head = start + linkLatency;
+            return start - ready;
+        }
+    };
 
     /**
      * All per-link state — the contention horizon plus the traffic
@@ -148,6 +197,18 @@ class Mesh : public Network
     Tick localLatency_;
     /** Per-link contention + accounting, node-major by direction. */
     std::vector<LinkState> links_;
+    /**
+     * @{ multicast()'s route-tree masks over the nodes below 64 (the
+     * CoreSet range): by column, the nodes in it and the nodes east
+     * / west of it; by row, the nodes north / south of it.
+     */
+    std::uint64_t nodeMask_ = 0;
+    std::vector<std::uint64_t> colMask_;
+    std::vector<std::uint64_t> eastOf_;
+    std::vector<std::uint64_t> westOf_;
+    std::vector<std::uint64_t> northOf_;
+    std::vector<std::uint64_t> southOf_;
+    /** @} */
     MeshPerf *perf_ = nullptr;
 };
 

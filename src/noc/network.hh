@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/core_set.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -149,6 +150,36 @@ class Network
     virtual Tick send(NodeId src, NodeId dst, std::uint32_t bytes,
                       MsgClass cls, Tick now,
                       SendInfo *info = nullptr) = 0;
+
+    /**
+     * Send one message from @p src to every node in @p dsts, all
+     * departing at @p now.  The arrivals, the statistics and the
+     * link state it leaves are exactly those of send() to each
+     * destination in increasing node order; this base version is
+     * that loop.
+     *
+     * @param arrive Receives the arrival tick of the send to node d
+     *        at arrive[d], for every d in @p dsts; other entries are
+     *        left untouched.
+     * @param info When non-null, receives the SendInfo of every
+     *        send summed: total hops and total queue wait.
+     */
+    virtual void
+    multicast(NodeId src, CoreSet dsts, std::uint32_t bytes, MsgClass cls,
+              Tick now, Tick *arrive, SendInfo *info = nullptr)
+    {
+        if (info != nullptr)
+            *info = SendInfo{};
+        dsts.forEach([&](CoreId dst) {
+            SendInfo one;
+            arrive[dst] = send(src, dst, bytes, cls, now,
+                               info != nullptr ? &one : nullptr);
+            if (info != nullptr) {
+                info->hops += one.hops;
+                info->queueWait += one.queueWait;
+            }
+        });
+    }
 
     /** Number of network nodes. */
     virtual std::uint32_t numNodes() const = 0;

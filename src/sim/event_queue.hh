@@ -31,7 +31,7 @@
  * sequence number is the newest); overflow entries for a tick are
  * migrated into its bucket, in heap order, before any direct insert
  * can target it; and a late insert (scheduleFnAt(), at a sequence
- * number reserved earlier with takeSeq()) goes to its upper_bound
+ * number reserved earlier with takeSeqs()) goes to its upper_bound
  * position behind the bucket's head.
  */
 
@@ -128,19 +128,27 @@ class EventQueue
     }
 
     /**
-     * Reserve the sequence number the next schedule would take,
-     * without scheduling anything.  A caller that decides not to
-     * schedule an event yet keeps its place in the (tick, sequence)
-     * order this way, and can still schedule it there later with
-     * scheduleFnAt().
+     * Reserve the @p n sequence numbers the next @p n schedules
+     * would take, without scheduling anything; returns the first.
+     * A caller that decides not to schedule an event yet keeps its
+     * place in the (tick, sequence) order this way, and can still
+     * schedule it there later with scheduleFnAt().  Scheduling part
+     * of a block in increasing sequence order right away dispatches
+     * exactly like the eager schedules it stands for.
      */
-    std::uint64_t takeSeq() { return seq_++; }
+    std::uint64_t
+    takeSeqs(std::uint64_t n)
+    {
+        std::uint64_t first = seq_;
+        seq_ += n;
+        return first;
+    }
 
     /**
      * Schedule a one-shot callback at the position (@p when, @p seq)
-     * reserved earlier with takeSeq(): it dispatches exactly where an
-     * event scheduled at reservation time would have.  Panics when
-     * that position has already been dispatched (see passed()).
+     * reserved earlier with takeSeqs(): it dispatches exactly where
+     * an event scheduled at reservation time would have.  Panics
+     * when that position has already been dispatched (see passed()).
      */
     void scheduleFnAt(Tick when, std::uint64_t seq, Callback fn);
 

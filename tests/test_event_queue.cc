@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -53,11 +54,58 @@ reservedSlotLog(Tick when, Tick mark_at, bool late, EventQueuePerf &perf)
     });
     eq.scheduleFn(when, record(1));
     if (late)
-        seq = eq.takeSeq();
+        seq = eq.takeSeqs(1);
     else
         eq.scheduleFn(when, record(2));
     eq.scheduleFn(when, record(3));
     eq.scheduleFn(when + 1, record(4));
+    eq.run();
+    return log;
+}
+
+/**
+ * Dispatch log, as (tick, id), of a snoop-send-like burst: an event
+ * at tick 40 makes ten deliveries (ids 0-9, some with an event, some
+ * without) and then one trailing schedule (id 200), among other
+ * traffic at the same ticks.  Eagerly, each delivery schedules its
+ * event or takes its one sequence number in turn; reserved, the
+ * burst takes its block with takeSeqs(10) first and then schedules
+ * the evented deliveries with scheduleFnAt() in rank order.
+ */
+std::vector<std::pair<Tick, int>>
+deliveryBurstLog(bool reserved, EventQueuePerf &perf)
+{
+    EventQueue eq;
+    eq.setPerf(&perf);
+    std::vector<std::pair<Tick, int>> log;
+    auto record = [&log, &eq](int id) {
+        return [&log, &eq, id] { log.emplace_back(eq.now(), id); };
+    };
+    // Arrival delays: the current tick, near wheel buckets, the last
+    // wheel tick and the first overflow tick, and far overflow.
+    constexpr std::size_t kDeliveries = 10;
+    const Tick delay[kDeliveries] = {0, 5, 5, 3, 4095, 4096, 5, 9000, 0, 3};
+    const bool evented[kDeliveries] = {true,  false, true, true,  false,
+                                       true,  true,  true, false, true};
+    eq.scheduleFn(45, record(100));
+    eq.scheduleFn(40 + 4096, record(101));
+    eq.scheduleFn(40, [&] {
+        Tick now = eq.now();
+        std::uint64_t seq0 = reserved ? eq.takeSeqs(kDeliveries) : 0;
+        for (std::size_t i = 0; i < kDeliveries; ++i) {
+            int id = static_cast<int>(i);
+            if (!evented[i]) {
+                if (!reserved)
+                    eq.takeSeqs(1);
+            } else if (reserved) {
+                eq.scheduleFnAt(now + delay[i], seq0 + i, record(id));
+            } else {
+                eq.scheduleFn(now + delay[i], record(id));
+            }
+        }
+        eq.scheduleFn(now + 5, record(200));
+    });
+    eq.scheduleFn(40, record(102));
     eq.run();
     return log;
 }
@@ -386,10 +434,27 @@ TEST(EventQueue, LateInsertDispatchesAtItsReservedPosition)
     }
 }
 
+TEST(EventQueue, ReservedBlockDispatchesLikeEagerSchedules)
+{
+    EventQueuePerf eager_perf;
+    EventQueuePerf reserved_perf;
+    auto eager = deliveryBurstLog(false, eager_perf);
+    auto reserved = deliveryBurstLog(true, reserved_perf);
+    // 7 evented deliveries, the trailing schedule, and 3 others.
+    ASSERT_EQ(eager.size(), 11u);
+    EXPECT_EQ(eager.front(), (std::pair<Tick, int>{40, 102}));
+    EXPECT_EQ(reserved, eager);
+    EXPECT_EQ(reserved_perf.schedules, 12u);
+    EXPECT_EQ(reserved_perf.schedules, eager_perf.schedules);
+    EXPECT_EQ(reserved_perf.wheelInserts, eager_perf.wheelInserts);
+    EXPECT_EQ(reserved_perf.overflowInserts, eager_perf.overflowInserts);
+    EXPECT_GT(reserved_perf.overflowInserts, 0u);
+}
+
 TEST(EventQueue, PassedTracksTheDispatchPosition)
 {
     EventQueue eq;
-    std::uint64_t early = eq.takeSeq();
+    std::uint64_t early = eq.takeSeqs(1);
     EXPECT_FALSE(eq.passed(0, early));
     std::uint64_t at_20 = 0;
     eq.scheduleFn(20, [&] {
@@ -406,7 +471,7 @@ TEST(EventQueue, PassedTracksTheDispatchPosition)
 TEST(EventQueueDeath, SchedulingAtADispatchedPositionPanics)
 {
     EventQueue eq;
-    std::uint64_t seq = eq.takeSeq();
+    std::uint64_t seq = eq.takeSeqs(1);
     eq.scheduleFn(20, [] {});
     eq.run();
     // The slot at tick 20 precedes the event just dispatched there.

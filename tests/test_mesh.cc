@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+
 #include "noc/mesh.hh"
+#include "sim/perfmon.hh"
 
 namespace vsnoop::test
 {
@@ -248,13 +252,16 @@ TEST(MeshLinkStats, BusyAndWaitCyclesOnContendedLink)
     // the link is busy until tick 9, so it logs 5 wait cycles.
     mesh.send(0, 1, 72, MsgClass::Data, 0);
     mesh.send(0, 1, 72, MsgClass::Data, 0);
-    const LinkStat *east = findLink(mesh.linkStats(), 0, 1);
+    // findLink points into the snapshot, so the snapshot must outlive
+    // both lookups.
+    std::vector<LinkStat> links = mesh.linkStats();
+    const LinkStat *east = findLink(links, 0, 1);
     ASSERT_NE(east, nullptr);
     EXPECT_EQ(east->busyCycles, 10u);
     EXPECT_EQ(east->waitCycles, 5u);
     EXPECT_EQ(east->totalByteHops(), 2u * 5 * 16);
     // The reverse direction is a distinct link and stays idle.
-    const LinkStat *west = findLink(mesh.linkStats(), 1, 0);
+    const LinkStat *west = findLink(links, 1, 0);
     ASSERT_NE(west, nullptr);
     EXPECT_EQ(west->totalByteHops(), 0u);
     EXPECT_EQ(west->busyCycles, 0u);
@@ -278,6 +285,170 @@ TEST(IdealCrossbar, HasNoPerLinkStats)
     IdealCrossbar xbar(16, 8);
     xbar.send(0, 15, 72, MsgClass::Data, 0);
     EXPECT_TRUE(xbar.linkStats().empty());
+}
+
+namespace
+{
+void
+expectSameHistogram(const LatencyHistogram &a, const LatencyHistogram &b,
+                    const std::string &where)
+{
+    EXPECT_EQ(a.count(), b.count()) << where;
+    EXPECT_EQ(a.sum(), b.sum()) << where;
+    EXPECT_EQ(a.min(), b.min()) << where;
+    EXPECT_EQ(a.max(), b.max()) << where;
+    for (std::size_t i = 0; i < LatencyHistogram::kNumBuckets; ++i)
+        EXPECT_EQ(a.bucketHits(i), b.bucketHits(i))
+            << where << " bucket " << i;
+}
+
+void
+expectSameTraffic(const Network &a, const Network &b, const std::string &where)
+{
+    for (std::size_t c = 0; c < kNumMsgClasses; ++c) {
+        const NetworkStats &sa = a.stats();
+        const NetworkStats &sb = b.stats();
+        EXPECT_EQ(sa.messages[c].value(), sb.messages[c].value())
+            << where << " class " << c;
+        EXPECT_EQ(sa.bytes[c].value(), sb.bytes[c].value())
+            << where << " class " << c;
+        EXPECT_EQ(sa.byteHops[c].value(), sb.byteHops[c].value())
+            << where << " class " << c;
+    }
+    std::vector<LinkStat> la = a.linkStats();
+    std::vector<LinkStat> lb = b.linkStats();
+    ASSERT_EQ(la.size(), lb.size()) << where;
+    for (std::size_t i = 0; i < la.size(); ++i) {
+        std::string link = where + " link " + std::to_string(la[i].from) +
+                           "->" + std::to_string(la[i].to);
+        EXPECT_EQ(la[i].from, lb[i].from) << link;
+        EXPECT_EQ(la[i].to, lb[i].to) << link;
+        for (std::size_t c = 0; c < kNumMsgClasses; ++c)
+            EXPECT_EQ(la[i].byteHops[c], lb[i].byteHops[c]) << link;
+        EXPECT_EQ(la[i].busyCycles, lb[i].busyCycles) << link;
+        EXPECT_EQ(la[i].waitCycles, lb[i].waitCycles) << link;
+    }
+}
+
+/**
+ * Drive twin networks with the same random traffic: background
+ * send()s on both, so links are busy, then per round one multicast()
+ * on @p multi against send() to each destination in increasing order
+ * on @p seq.  Returns the total queue wait the multicasts saw.
+ */
+Tick
+expectMulticastEqualsSends(Network &seq, Network &multi, std::uint32_t bytes,
+                           std::uint64_t seed, const std::string &where)
+{
+    std::mt19937_64 rng(seed);
+    std::uint32_t n = seq.numNodes();
+    std::uint64_t all = CoreSet::firstN(n).mask();
+    Tick now = 0;
+    Tick total_wait = 0;
+    for (int round = 0; round < 300; ++round) {
+        std::string at = where + " round " + std::to_string(round);
+        now += rng() % 4;
+        for (int k = 0; k < 3; ++k) {
+            auto src = static_cast<NodeId>(rng() % n);
+            auto dst = static_cast<NodeId>(rng() % n);
+            std::uint32_t size = rng() % 2 ? 8 : 72;
+            auto cls = static_cast<MsgClass>(rng() % kNumMsgClasses);
+            EXPECT_EQ(seq.send(src, dst, size, cls, now),
+                      multi.send(src, dst, size, cls, now)) << at;
+        }
+        auto src = static_cast<NodeId>(rng() % n);
+        CoreSet dsts;
+        switch (round % 6) {
+          case 0: break;                                         // empty
+          case 1: dsts = CoreSet::single(static_cast<CoreId>(src)); break;
+          case 2: dsts = CoreSet::fromMask(all); break;
+          default: dsts = CoreSet::fromMask(rng() & all); break;
+        }
+        bool with_info = round % 2 == 0;
+        Tick expect[CoreSet::kMaxCores] = {};
+        SendInfo sum;
+        dsts.forEach([&](CoreId d) {
+            SendInfo one;
+            expect[d] = seq.send(src, d, bytes, MsgClass::Request, now,
+                                 with_info ? &one : nullptr);
+            sum.hops += one.hops;
+            sum.queueWait += one.queueWait;
+        });
+        Tick got[CoreSet::kMaxCores] = {};
+        SendInfo info{999, 999};
+        multi.multicast(src, dsts, bytes, MsgClass::Request, now, got,
+                        with_info ? &info : nullptr);
+        for (std::size_t d = 0; d < CoreSet::kMaxCores; ++d)
+            EXPECT_EQ(got[d], expect[d]) << at << " dst " << d;
+        if (with_info) {
+            EXPECT_EQ(info.hops, sum.hops) << at;
+            EXPECT_EQ(info.queueWait, sum.queueWait) << at;
+            total_wait += info.queueWait;
+        } else {
+            EXPECT_EQ(info.hops, 999u) << at;
+        }
+        if (round % 50 == 0)
+            expectSameTraffic(seq, multi, at);
+    }
+    expectSameTraffic(seq, multi, where);
+    return total_wait;
+}
+} // namespace
+
+TEST(MeshMulticast, EqualsSequentialSends)
+{
+    struct Geometry
+    {
+        std::uint32_t width;
+        std::uint32_t height;
+    };
+    std::uint64_t seed = 1;
+    // 3x5 has a non-power-of-two width (the division fallback).
+    for (Geometry g : {Geometry{4, 4}, Geometry{8, 8}, Geometry{8, 2},
+                       Geometry{3, 5}}) {
+        for (std::uint32_t bytes : {8u, 72u}) {
+            std::string where = std::to_string(g.width) + "x" +
+                                std::to_string(g.height) + " " +
+                                std::to_string(bytes) + "B";
+            MeshConfig cfg;
+            cfg.width = g.width;
+            cfg.height = g.height;
+            Mesh seq(cfg);
+            Mesh multi(cfg);
+            MeshPerf seq_perf;
+            MeshPerf multi_perf;
+            seq.setPerf(&seq_perf);
+            multi.setPerf(&multi_perf);
+            Tick wait = expectMulticastEqualsSends(seq, multi, bytes, seed++,
+                                                   where);
+            // The background traffic must make the walk contend.
+            EXPECT_GT(wait, 0u) << where;
+            expectSameHistogram(seq_perf.legLength, multi_perf.legLength,
+                                where + " legLength");
+            expectSameHistogram(seq_perf.sendBacklog, multi_perf.sendBacklog,
+                                where + " sendBacklog");
+            EXPECT_GT(multi_perf.sendBacklog.count(), 0u) << where;
+        }
+    }
+}
+
+TEST(MeshMulticast, OutOfRangeDestinationPanics)
+{
+    Mesh mesh(defaultConfig());
+    Tick arrive[CoreSet::kMaxCores] = {};
+    EXPECT_DEATH(mesh.multicast(0, CoreSet::single(16), 8, MsgClass::Request,
+                                0, arrive),
+                 "out of range");
+}
+
+TEST(IdealCrossbar, MulticastEqualsSequentialSends)
+{
+    for (std::uint32_t bytes : {8u, 72u}) {
+        IdealCrossbar seq(16, 8);
+        IdealCrossbar multi(16, 8);
+        expectMulticastEqualsSends(seq, multi, bytes, 100 + bytes,
+                                   "crossbar " + std::to_string(bytes) + "B");
+    }
 }
 
 } // namespace vsnoop::test
