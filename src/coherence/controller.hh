@@ -133,11 +133,6 @@ class CoherenceController
     std::uint64_t flushVmPrivateLines(VmId vm);
 
     /** @{ Per-controller statistics. */
-    /**
-     * Remote snoop requests sent to this cache, counted at send
-     * (next to CoherenceStats::snoopsDelivered).
-     */
-    Counter snoopsReceived;
     /** Snoops that found (and acted on) a matching line. */
     Counter snoopHits;
     /** Demand accesses absorbed by the L1 (when modelled). */

@@ -125,8 +125,8 @@ CoherenceSystem::sendSnoops(CoreId from, const SnoopMsg &msg,
     vsnoop_assert(!targets.cores.contains(from),
                   "policy must exclude the requester");
     // A non-persistent snoop acts only where the line is cached; at
-    // any other core its handler would just count it.  Those
-    // deliveries take their sequence number without an event, and
+    // any other core its handler does nothing.  Those deliveries
+    // take their sequence number without an event, and
     // lineInstalled() schedules one in place should the target gain
     // the line before the snoop arrives (DESIGN.md §9).
     CoreSet evented = msg.persistent
@@ -142,38 +142,36 @@ CoherenceSystem::sendSnoops(CoreId from, const SnoopMsg &msg,
     Tick sent[CoreSet::kMaxCores];
     Tick *arrive = kept != nullptr ? kept->arrive : sent;
     SendInfo info;
-    network_.multicast(from, targets.cores, config_.controlBytes,
-                       MsgClass::Request, now, arrive, &info);
+    Tick last = network_.multicast(from, targets.cores, config_.controlBytes,
+                                   MsgClass::Request, now, arrive, &info);
     if (critpath_ != nullptr)
         critpath_->nocWait(MsgClass::Request, info.queueWait);
     std::uint64_t deliveries = targets.cores.count();
     std::uint64_t seq0 = eq_.takeSeqs(deliveries);
     stats.snoopsDelivered.inc(deliveries);
     stats.snoopLookups.inc(deliveries);
+    // Charged at send (next to snoopLookups), one call per broadcast,
+    // so the interference matrix total reconciles with the counter
+    // at any instant, warmup reset included.  The page monitor
+    // charges here for the same reason: its per-page lookup sum must
+    // match too.
+    if (critpath_ != nullptr)
+        critpath_->snoopBroadcast(msg.requesterVm, targets.cores);
+    if (pagemon_ != nullptr)
+        pagemon_->snoopBroadcast(msg.line, msg.requesterVm, targets.cores);
     if (kept != nullptr) {
         kept->seq0 = seq0;
         kept->skipped = targets.cores.minus(evented);
+        // The broadcast's latest arrival bounds the skipped ones;
+        // the record may outlive them, which only pruning sees
+        // (DESIGN.md §9).
+        kept->last = last;
     }
-    std::uint64_t rank = 0;
-    targets.cores.forEach([&](CoreId target) {
-        controllers_[target]->snoopsReceived.inc();
-        // Charged at send (next to snoopLookups) so the interference
-        // matrix total reconciles with the counter at any instant,
-        // warmup reset included.  The page monitor charges here for
-        // the same reason: its per-page lookup sum must match too.
-        if (critpath_ != nullptr)
-            critpath_->snoopLookupRemote(msg.requesterVm, target);
-        if (pagemon_ != nullptr)
-            pagemon_->snoopDelivery(msg.line, msg.requesterVm, target);
-        if (evented.contains(target)) {
-            eq_.scheduleFnAt(arrive[target], seq0 + rank,
-                             [this, target, msg] {
-                                 controller(target).handleSnoop(msg);
-                             });
-        } else {
-            kept->last = std::max(kept->last, arrive[target]);
-        }
-        ++rank;
+    evented.forEach([&](CoreId target) {
+        eq_.scheduleFnAt(arrive[target], seq0 + rankOf(targets.cores, target),
+                         [this, target, msg] {
+                             controller(target).handleSnoop(msg);
+                         });
     });
     if (targets.memory) {
         NodeId mc = memNodeFor(msg.line);
@@ -330,7 +328,6 @@ CoherenceSystem::resetStats()
     memory_.writebacks.reset();
     memory_.dataProvided.reset();
     for (auto &ctrl : controllers_) {
-        ctrl->snoopsReceived.reset();
         ctrl->snoopHits.reset();
         ctrl->l1Hits.reset();
         Cache &cache = ctrl->cache();

@@ -294,12 +294,23 @@ class CoherenceSystem
     /** End of a SkippedSnoops list. */
     static constexpr std::uint32_t kNoRecord = ~std::uint32_t{0};
 
+    /** Members of @p targets below @p core: the rank of @p core's
+     *  delivery in its broadcast's sequence block. */
+    static std::uint64_t
+    rankOf(CoreSet targets, CoreId core)
+    {
+        std::uint64_t below = (std::uint64_t{1} << core) - 1;
+        return static_cast<std::uint64_t>(
+            std::popcount(targets.mask() & below));
+    }
+
     /**
      * The core deliveries of one sendSnoops() call that got no
      * event: the targets that did not hold the line at send time.
      * Each keeps the arrival tick and sequence number its event
      * would have had.  Records for one line form a list through
-     * next; a record is dead once its last arrival is in the past.
+     * next; a record is dead once its send's last arrival is in the
+     * past.
      */
     struct SkippedSnoops
     {
@@ -310,21 +321,18 @@ class CoherenceSystem
         CoreSet targets;
         /** Targets whose delivery still has no event. */
         CoreSet skipped;
-        /** Latest arrival among the skipped deliveries. */
+        /** Latest arrival of the whole send, so no later than
+         *  this tick is any skipped delivery still to arrive. */
         Tick last = 0;
         std::uint32_t next = kNoRecord;
         Tick arrive[CoreSet::kMaxCores] = {};
 
-        /** Targets of the send that precede @p core. */
-        std::uint64_t
-        rankOf(CoreId core) const
-        {
-            std::uint64_t below = (std::uint64_t{1} << core) - 1;
-            return std::popcount(targets.mask() & below);
-        }
-
         /** Sequence number of the delivery to @p core. */
-        std::uint64_t seqOf(CoreId core) const { return seq0 + rankOf(core); }
+        std::uint64_t
+        seqOf(CoreId core) const
+        {
+            return seq0 + rankOf(targets, core);
+        }
     };
 
     /** A fresh record for @p msg at the head of its line's list. */

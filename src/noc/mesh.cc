@@ -182,7 +182,7 @@ Mesh::send(NodeId src, NodeId dst, std::uint32_t bytes, MsgClass cls,
     return head + (flits - 1) * linkLatency_;
 }
 
-void
+Tick
 Mesh::multicast(NodeId src, CoreSet dsts, std::uint32_t bytes, MsgClass cls,
                 Tick now, Tick *arrive, SendInfo *info)
 {
@@ -204,10 +204,14 @@ Mesh::multicast(NodeId src, CoreSet dsts, std::uint32_t bytes, MsgClass cls,
     std::uint64_t remote = dsts.mask() & ~local;
 
     // head[d]: where destination d's head flit is along its route.
+    // Counts are kept by hand, here and per link: std::popcount is a
+    // libgcc call on the baseline x86-64 target (no -mpopcnt).
     Tick head[CoreSet::kMaxCores];
+    std::uint64_t sends = local != 0 ? 1 : 0;
     for (std::uint64_t rest = remote; rest != 0; rest &= rest - 1) {
         auto d = static_cast<NodeId>(std::countr_zero(rest));
         head[d] = now;
+        ++sends;
         if (perf != nullptr) {
             std::uint32_t x = nodeX(d);
             std::uint32_t y = nodeY(d);
@@ -226,13 +230,21 @@ Mesh::multicast(NodeId src, CoreSet dsts, std::uint32_t bytes, MsgClass cls,
         LinkState &link = links_[idx];
         Tick free = link.free;
         Tick wait = 0;
+        std::uint64_t crossed = 0;
+        std::uint64_t unqueued = 0;
         for (std::uint64_t rest = beyond; rest != 0; rest &= rest - 1) {
             Tick w = timing.reserve(free, head[std::countr_zero(rest)]);
             wait += w;
-            if (perf != nullptr)
-                perf->sendBacklog.sample(w);
+            ++crossed;
+            if (perf != nullptr) {
+                if (w != 0)
+                    perf->sendBacklog.sample(w);
+                else
+                    ++unqueued;
+            }
         }
-        auto crossed = static_cast<std::uint64_t>(std::popcount(beyond));
+        if (perf != nullptr)
+            perf->sendBacklog.sample(0, unqueued);
         link.free = free;
         link.waitCycles += wait;
         link.byteHops[ci] += crossed * linkBytesCarried;
@@ -268,15 +280,17 @@ Mesh::multicast(NodeId src, CoreSet dsts, std::uint32_t bytes, MsgClass cls,
     }
 
     Tick tail = static_cast<Tick>(flits - 1) * linkLatency_;
+    Tick last = 0;
     for (std::uint64_t rest = remote; rest != 0; rest &= rest - 1) {
         auto d = static_cast<NodeId>(std::countr_zero(rest));
         arrive[d] = head[d] + tail;
+        last = std::max(last, arrive[d]);
     }
-    std::uint64_t sends = dsts.count();
     if (local != 0) {
         // As in send(): one hop charged, absorbed by the loopback.
         links_[linkIndex(src, Local)].byteHops[ci] += linkBytesCarried;
         arrive[src] = now + localLatency_;
+        last = std::max(last, arrive[src]);
     }
     stats_.messages[ci].inc(sends);
     stats_.bytes[ci].inc(sends * bytes);
@@ -284,6 +298,7 @@ Mesh::multicast(NodeId src, CoreSet dsts, std::uint32_t bytes, MsgClass cls,
                             (hops + (local != 0 ? 1 : 0)));
     if (info != nullptr)
         *info = SendInfo{static_cast<std::uint32_t>(hops), waited};
+    return last;
 }
 
 std::vector<LinkStat>

@@ -69,7 +69,7 @@ class Mesh : public Network
               SendInfo *info = nullptr) override;
 
     /** One walk of the XY route tree from @p src (file comment). */
-    void multicast(NodeId src, CoreSet dsts, std::uint32_t bytes,
+    Tick multicast(NodeId src, CoreSet dsts, std::uint32_t bytes,
                    MsgClass cls, Tick now, Tick *arrive,
                    SendInfo *info = nullptr) override;
 
@@ -103,6 +103,8 @@ class Mesh : public Network
      * per leg and per hop when detached, multicast() one per call
      * and per hop.  Both record the same samples: one legLength per
      * XY leg of every destination, one sendBacklog per hop.
+     * multicast() records each link's zero waits, usually most of
+     * them, in one weighted sample.
      */
     void setPerf(MeshPerf *perf) { perf_ = perf; }
 

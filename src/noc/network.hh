@@ -16,6 +16,7 @@
 #ifndef VSNOOP_NOC_NETWORK_HH_
 #define VSNOOP_NOC_NETWORK_HH_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -163,22 +164,26 @@ class Network
      *        left untouched.
      * @param info When non-null, receives the SendInfo of every
      *        send summed: total hops and total queue wait.
+     * @return The latest arrival over @p dsts (0 when it is empty).
      */
-    virtual void
+    virtual Tick
     multicast(NodeId src, CoreSet dsts, std::uint32_t bytes, MsgClass cls,
               Tick now, Tick *arrive, SendInfo *info = nullptr)
     {
         if (info != nullptr)
             *info = SendInfo{};
+        Tick last = 0;
         dsts.forEach([&](CoreId dst) {
             SendInfo one;
             arrive[dst] = send(src, dst, bytes, cls, now,
                                info != nullptr ? &one : nullptr);
+            last = std::max(last, arrive[dst]);
             if (info != nullptr) {
                 info->hops += one.hops;
                 info->queueWait += one.queueWait;
             }
         });
+        return last;
     }
 
     /** Number of network nodes. */

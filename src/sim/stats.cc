@@ -184,6 +184,18 @@ LatencyHistogram::sample(std::uint64_t value)
 }
 
 void
+LatencyHistogram::sample(std::uint64_t value, std::uint64_t n)
+{
+    if (n == 0)
+        return;
+    buckets_[bucketFor(value)] += n;
+    count_ += n;
+    sum_ += value * n;
+    min_ = std::min(min_, value);
+    max_ = std::max(max_, value);
+}
+
+void
 LatencyHistogram::reset()
 {
     *this = LatencyHistogram();

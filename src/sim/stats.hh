@@ -162,6 +162,8 @@ class LatencyHistogram
     static constexpr std::size_t kNumBuckets = 40;
 
     void sample(std::uint64_t value);
+    /** Record @p value @p n times: the same as n single samples. */
+    void sample(std::uint64_t value, std::uint64_t n);
     void reset();
 
     /** Fold another histogram in, as if its samples were recorded

@@ -103,7 +103,7 @@ SimSystem::build(const std::vector<AppProfile> &apps)
             config_.numVms,
             std::max<std::uint32_t>(1, config_.pagesTop));
         pagemon_->setClock(&eq_);
-        pagemon_->setCoreVmTable(mapping_.vmAtTable());
+        pagemon_->setVmCores(&mapping_.vmCoreSets());
         pagemon_->setTrace(trace_.get());
         for (std::uint64_t page : config_.watchPages)
             pagemon_->addWatch(page);
@@ -172,7 +172,7 @@ SimSystem::build(const std::vector<AppProfile> &apps)
     // conservation and reconciliation invariants to be exact.
     critpath_ = std::make_unique<CritPathAccountant>(
         config_.numVms, protocol.tagLookupCycles);
-    critpath_->setCoreVmTable(mapping_.vmAtTable());
+    critpath_->setVmCores(&mapping_.vmCoreSets());
     coherence_->setCritPath(critpath_.get());
 
     // Simulator-internals counters: one block per system, attached

@@ -1,5 +1,8 @@
 #include "trace/critpath.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace vsnoop
@@ -70,12 +73,6 @@ CritPathAccountant::CritPathAccountant(std::uint32_t num_vms,
 }
 
 void
-CritPathAccountant::setCoreVmResolver(CoreVmResolver resolver)
-{
-    resolver_ = std::move(resolver);
-}
-
-void
 CritPathAccountant::recordTransaction(
     const std::uint64_t (&seg)[kNumCritSegments],
     std::uint64_t end_to_end, FilterReason reason, VmId vm)
@@ -102,15 +99,15 @@ CritPathAccountant::recordTransaction(
 }
 
 void
-CritPathAccountant::chargeLookup(std::uint32_t req_row,
-                                 std::uint32_t tgt_row)
+CritPathAccountant::chargeLookups(std::uint32_t req_row,
+                                  std::uint32_t tgt_row, std::uint64_t n)
 {
-    snoopLookups_[static_cast<std::size_t>(req_row) * dim_ + tgt_row]++;
-    tagBusyCycles_[static_cast<std::size_t>(req_row) * dim_ + tgt_row] +=
-        tagLookupCycles_;
-    lookupsTotal.inc();
+    std::size_t cell = static_cast<std::size_t>(req_row) * dim_ + tgt_row;
+    snoopLookups_[cell] += n;
+    tagBusyCycles_[cell] += n * tagLookupCycles_;
+    lookupsTotal.inc(n);
     if (req_row != tgt_row)
-        lookupsOffDiag.inc();
+        lookupsOffDiag.inc(n);
 }
 
 void
@@ -120,18 +117,32 @@ CritPathAccountant::snoopLookupLocal(VmId requester)
     // issued from, which by construction runs the requesting VM: a
     // diagonal (self-interference) charge.
     std::uint32_t row = rowFor(requester);
-    chargeLookup(row, row);
+    chargeLookups(row, row, 1);
 }
 
 void
-CritPathAccountant::snoopLookupRemote(VmId requester, CoreId target)
+CritPathAccountant::snoopBroadcast(VmId requester, CoreSet targets)
 {
-    VmId target_vm;
-    if (coreVmTable_ != nullptr)
-        target_vm = coreVmTable_[target];
-    else
-        target_vm = resolver_ ? resolver_(target) : kInvalidVm;
-    chargeLookup(rowFor(requester), rowFor(target_vm));
+    std::uint32_t req_row = rowFor(requester);
+    std::uint64_t rest = targets.mask();
+    if (vmCores_ != nullptr) {
+        // The VM sets are disjoint, so peeling each VM's targets off
+        // charges every target at most once and stops early once
+        // none is left.
+        std::size_t guests =
+            std::min<std::size_t>(vmCores_->size(), dim_ - 1);
+        for (std::size_t v = 0; v < guests && rest != 0; ++v) {
+            std::uint64_t hit = rest & (*vmCores_)[v].mask();
+            if (hit == 0)
+                continue;
+            rest &= ~hit;
+            chargeLookups(req_row, static_cast<std::uint32_t>(v),
+                          static_cast<std::uint64_t>(std::popcount(hit)));
+        }
+    }
+    if (rest != 0)
+        chargeLookups(req_row, dim_ - 1,
+                      static_cast<std::uint64_t>(std::popcount(rest)));
 }
 
 void

@@ -26,7 +26,10 @@
  *    hypervisor requesters and snoops landing on cores not
  *    currently running any vCPU.  Diagonal entries are a VM
  *    snooping itself (the virtual-snooping ideal); everything
- *    off-diagonal is interference.
+ *    off-diagonal is interference.  A snoop broadcast is charged
+ *    in one call, per VM rather than per target: its target set is
+ *    ANDed with each VM's core set (VcpuMapping::vmCoreSets()) and
+ *    popcounted, so the cost scales with the VMs, not the cores.
  *
  * Like TraceSink, this class references only the header-only
  * protocol types (coherence/protocol.hh), so the coherence library
@@ -38,12 +41,12 @@
 #define VSNOOP_TRACE_CRITPATH_HH_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "coherence/protocol.hh"
 #include "noc/network.hh"
+#include "sim/core_set.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -160,10 +163,6 @@ std::string vmRowLabel(std::uint32_t row, std::uint32_t dim);
 class CritPathAccountant
 {
   public:
-    /** Maps a core to the VM currently running on it (kInvalidVm
-     *  when idle); used to attribute snoop deliveries. */
-    using CoreVmResolver = std::function<VmId(CoreId)>;
-
     /**
      * @param num_vms Guest VMs; the matrices get one extra
      *        host row/column.
@@ -172,15 +171,17 @@ class CritPathAccountant
      */
     CritPathAccountant(std::uint32_t num_vms, Tick tag_lookup_cycles);
 
-    void setCoreVmResolver(CoreVmResolver resolver);
-
     /**
-     * Faster alternative to setCoreVmResolver: a raw per-core VM
-     * table (e.g. VcpuMapping::vmAtTable()) indexed directly on the
-     * per-snoop path.  Takes precedence over the resolver when set;
-     * the pointer must stay valid for the accountant's lifetime.
+     * The cores each VM runs on, indexed by VmId
+     * (VcpuMapping::vmCoreSets()), read at every snoopBroadcast()
+     * to attribute deliveries.  Must stay valid for the
+     * accountant's lifetime; unset, every target counts as idle.
      */
-    void setCoreVmTable(const VmId *table) { coreVmTable_ = table; }
+    void
+    setVmCores(const std::vector<CoreSet> *vm_cores)
+    {
+        vmCores_ = vm_cores;
+    }
 
     /**
      * Fold one completed transaction's segment timeline in.
@@ -194,8 +195,15 @@ class CritPathAccountant
     /** The requester's own (missing) tag lookup: diagonal charge. */
     void snoopLookupLocal(VmId requester);
 
-    /** A snoop delivery charged to whichever VM holds @p target. */
-    void snoopLookupRemote(VmId requester, CoreId target);
+    /**
+     * One snoop broadcast from @p requester: each VM v below the
+     * host row is charged |targets & cores(v)| lookups in the
+     * requester's row; targets on idle cores, or on VMs at or above
+     * the host row, go to the host column.  One AND and popcount
+     * per VM, not one call per target; the matrix ends up exactly
+     * as if each delivery were charged to the VM on its core.
+     */
+    void snoopBroadcast(VmId requester, CoreSet targets);
 
     /** A cache-to-cache data response reaching @p requester. */
     void bytesDelivered(VmId requester, VmId source,
@@ -245,12 +253,13 @@ class CritPathAccountant
     /** @} */
 
   private:
-    void chargeLookup(std::uint32_t req_row, std::uint32_t tgt_row);
+    /** Charge @p n lookups to cell [req_row][tgt_row]. */
+    void chargeLookups(std::uint32_t req_row, std::uint32_t tgt_row,
+                       std::uint64_t n);
 
     std::uint32_t dim_;
     Tick tagLookupCycles_;
-    CoreVmResolver resolver_;
-    const VmId *coreVmTable_ = nullptr;
+    const std::vector<CoreSet> *vmCores_ = nullptr;
     LatencyHistogram segments_[kNumCritSegments];
     CritPathCell byReason_[kNumCritSegments][kNumFilterReasons];
     /** [seg * dim_ + row]. */

@@ -79,17 +79,32 @@ PageMon::miss(HostAddr addr, VmId requester)
 }
 
 void
-PageMon::snoopDelivery(HostAddr line, VmId requester, CoreId target)
+PageMon::snoopBroadcast(HostAddr line, VmId requester, CoreSet targets)
 {
+    if (targets.empty())
+        return;
+    std::uint64_t n = targets.count();
     PageCell &cell = cellFor(line.pageNum());
-    cell.lookups++;
-    cell.byVm[requester < vmRows_ - 1 ? requester : vmRows_ - 1]++;
-    lookupsCharged.inc();
-    VmId target_vm =
-        coreVmTable_ != nullptr ? coreVmTable_[target] : kInvalidVm;
-    if (target_vm != requester) {
-        cell.crossVm++;
-        crossVmLookups.inc();
+    cell.lookups += n;
+    cell.byVm[requester < vmRows_ - 1 ? requester : vmRows_ - 1] += n;
+    lookupsCharged.inc(n);
+    // The requester's own cores: its VM's set, or the idle cores
+    // (those in no VM's set) for a hypervisor requester.
+    std::uint64_t own = 0;
+    if (requester == kInvalidVm) {
+        std::uint64_t placed = 0;
+        if (vmCores_ != nullptr) {
+            for (CoreSet cores : *vmCores_)
+                placed |= cores.mask();
+        }
+        own = ~placed;
+    } else if (vmCores_ != nullptr && requester < vmCores_->size()) {
+        own = (*vmCores_)[requester].mask();
+    }
+    std::uint64_t cross = n - CoreSet::fromMask(targets.mask() & own).count();
+    if (cross != 0) {
+        cell.crossVm += cross;
+        crossVmLookups.inc(cross);
     }
 }
 

@@ -41,10 +41,10 @@
  * nullable PageMon pointer, so runs without --pages stay
  * byte-identical.  Like CritPathAccountant, charges arrive at
  * exactly the two sites that increment stats.snoopLookups (the
- * requester's own tag check and each remote delivery), memory
- * snoops excluded, and resetStats() runs inside
- * CoherenceSystem::resetStats() so warmup resets drop both sides of
- * the reconciliation at once.  One PageMon per SimSystem
+ * requester's own tag check, and each snoop broadcast at one lookup
+ * per remote delivery), memory snoops excluded, and resetStats()
+ * runs inside CoherenceSystem::resetStats() so warmup resets drop
+ * both sides of the reconciliation at once.  One PageMon per SimSystem
  * (one-system-per-thread contract).
  */
 
@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "coherence/protocol.hh"
+#include "sim/core_set.hh"
 #include "sim/flat_table.hh"
 #include "sim/metrics.hh"
 #include "sim/stats.hh"
@@ -146,17 +147,29 @@ class PageMon : public PageEventListener
     /** Lifecycle-record destination (nullable, branch-on-null). */
     void setTrace(TraceSink *sink) { trace_ = sink; }
 
-    /** Raw per-core VM table (VcpuMapping::vmAtTable()) used to
-     *  classify remote deliveries as cross-VM.  Must stay valid for
-     *  the monitor's lifetime. */
-    void setCoreVmTable(const VmId *table) { coreVmTable_ = table; }
+    /** The cores each VM runs on, indexed by VmId
+     *  (VcpuMapping::vmCoreSets()), used to classify remote
+     *  deliveries as cross-VM.  Must stay valid for the monitor's
+     *  lifetime; unset, every target counts as idle. */
+    void
+    setVmCores(const std::vector<CoreSet> *vm_cores)
+    {
+        vmCores_ = vm_cores;
+    }
 
     /** @{ Charge hooks (coherence/controller, coherence/system).
      *  Call these at exactly the stats.snoopLookups charge sites. */
     /** The requester's own tag check on a miss. */
     void miss(HostAddr addr, VmId requester);
-    /** One snoop delivery to a remote core. */
-    void snoopDelivery(HostAddr line, VmId requester, CoreId target);
+    /**
+     * One snoop broadcast to the remote cores @p targets: one
+     * lookup each, with one cell lookup for the whole broadcast.
+     * The deliveries outside the requester's VM, |targets| minus
+     * |targets & cores(requester)|, count as cross-VM; for a
+     * kInvalidVm (hypervisor) requester the idle cores are its own.
+     * An empty set charges nothing and touches no cell.
+     */
+    void snoopBroadcast(HostAddr line, VmId requester, CoreSet targets);
     /** @} */
 
     /** One snoop attempt's filter reasoning (coherence/controller). */
@@ -207,7 +220,7 @@ class PageMon : public PageEventListener
     std::uint32_t topK_;
     const EventQueue *clock_ = nullptr;
     TraceSink *trace_ = nullptr;
-    const VmId *coreVmTable_ = nullptr;
+    const std::vector<CoreSet> *vmCores_ = nullptr;
     FlatMap<PageCell> cells_;
     std::uint64_t truncatedPages_ = 0;
     std::vector<std::uint64_t> watchPages_;

@@ -14,8 +14,11 @@ VcpuMapping::VcpuMapping(std::uint32_t num_cores)
 VCpuId
 VcpuMapping::addVcpu(VmId vm)
 {
+    vsnoop_assert(vm != kInvalidVm, "a vCPU needs a VM");
     auto id = static_cast<VCpuId>(vmOf_.size());
     vmOf_.push_back(vm);
+    if (vm >= vmCores_.size())
+        vmCores_.resize(static_cast<std::size_t>(vm) + 1);
     coreOf_.push_back(kInvalidCore);
     return id;
 }
@@ -32,6 +35,7 @@ VcpuMapping::place(VCpuId vcpu, CoreId core)
     coreOf_[vcpu] = core;
     vcpuAt_[core] = vcpu;
     vmAtCore_[core] = vmOf_[vcpu];
+    vmCores_[vmOf_[vcpu]].add(core);
     for (auto *l : listeners_)
         l->onVcpuPlaced(vcpu, vmOf_[vcpu], core);
 }
@@ -46,6 +50,7 @@ VcpuMapping::removeFromCore(VCpuId vcpu)
     coreOf_[vcpu] = kInvalidCore;
     vcpuAt_[core] = kInvalidVCpu;
     vmAtCore_[core] = kInvalidVm;
+    vmCores_[vmOf_[vcpu]].remove(core);
     for (auto *l : listeners_)
         l->onVcpuRemoved(vcpu, vmOf_[vcpu], core);
 }
@@ -89,17 +94,6 @@ VcpuMapping::vmAt(CoreId core) const
 {
     vsnoop_assert(core < vmAtCore_.size(), "bad core id ", core);
     return vmAtCore_[core];
-}
-
-CoreSet
-VcpuMapping::coresRunning(VmId vm) const
-{
-    CoreSet set;
-    for (CoreId c = 0; c < vcpuAt_.size(); ++c) {
-        if (vmAt(c) == vm)
-            set.add(c);
-    }
-    return set;
 }
 
 void

@@ -79,16 +79,24 @@ class VcpuMapping
     /** VM currently running on @p core (kInvalidVm if idle). */
     VmId vmAt(CoreId core) const;
 
-    /**
-     * Per-core VM table, indexed by CoreId, kept in sync with
-     * placements.  The pointer is stable for the mapping's lifetime;
-     * hot accounting paths index it directly instead of paying an
-     * indirect vmAt() call per snoop.
-     */
-    const VmId *vmAtTable() const { return vmAtCore_.data(); }
+    /** Cores currently running any vCPU of @p vm (O(1); empty for
+     *  a VM with no vCPU, and for kInvalidVm). */
+    CoreSet
+    coresRunning(VmId vm) const
+    {
+        return vm < vmCores_.size() ? vmCores_[vm] : CoreSet{};
+    }
 
-    /** Cores currently running any vCPU of @p vm. */
-    CoreSet coresRunning(VmId vm) const;
+    /**
+     * The cores running each VM, indexed by VmId up to the highest
+     * VM with a vCPU, kept in sync by place() and removeFromCore().
+     * The sets are disjoint; a core in none of them is idle.  The
+     * vector object is stable for the mapping's lifetime, so the
+     * accounting layers hold a pointer to it and charge a whole
+     * snoop broadcast with one AND and popcount per VM
+     * (CritPathAccountant::snoopBroadcast, PageMon::snoopBroadcast).
+     */
+    const std::vector<CoreSet> &vmCoreSets() const { return vmCores_; }
 
     /** Attach a placement listener (not owned). */
     void addListener(VcpuMappingListener *listener);
@@ -99,6 +107,8 @@ class VcpuMapping
     std::vector<VCpuId> vcpuAt_;
     /** Cached vmOf_[vcpuAt_[core]] (kInvalidVm for idle cores). */
     std::vector<VmId> vmAtCore_;
+    /** The inverse of vmAtCore_: the cores of each VM. */
+    std::vector<CoreSet> vmCores_;
     std::vector<VcpuMappingListener *> listeners_;
 };
 

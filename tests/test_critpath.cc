@@ -7,6 +7,9 @@
  * the JSON surface the report tooling consumes.
  */
 
+#include <random>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sim/json.hh"
@@ -60,15 +63,17 @@ TEST(CritPathAccountant, MatrixIndexingAndHostRow)
     EXPECT_EQ(acct.dim(), 5u);
 
     // Cores 0..3 run VMs 0..3; core 4 is idle (no vCPU).
-    acct.setCoreVmResolver([](CoreId core) {
-        return core < 4 ? static_cast<VmId>(core) : kInvalidVm;
-    });
+    std::vector<CoreSet> vm_cores;
+    for (CoreId c = 0; c < 4; ++c)
+        vm_cores.push_back(CoreSet::single(c));
+    acct.setVmCores(&vm_cores);
 
-    acct.snoopLookupLocal(2);     // diagonal [2][2]
-    acct.snoopLookupRemote(1, 3); // [1][3]
-    acct.snoopLookupRemote(1, 4); // idle core -> host column [1][4]
+    acct.snoopLookupLocal(2);                      // diagonal [2][2]
+    acct.snoopBroadcast(1, CoreSet::single(3));    // [1][3]
+    acct.snoopBroadcast(1, CoreSet::single(4));    // idle -> host [1][4]
     // Hypervisor requester -> host row.
-    acct.snoopLookupRemote(kInvalidVm, 0); // [4][0]
+    acct.snoopBroadcast(kInvalidVm, CoreSet::single(0)); // [4][0]
+    acct.snoopBroadcast(1, CoreSet{});             // charges nothing
 
     EXPECT_EQ(acct.lookupAt(2, 2), 1u);
     EXPECT_EQ(acct.lookupAt(1, 3), 1u);
@@ -85,6 +90,72 @@ TEST(CritPathAccountant, MatrixIndexingAndHostRow)
     EXPECT_DOUBLE_EQ(in.offDiagLookupShare(), 0.75);
     // Every lookup occupies the configured tag-port cycles.
     EXPECT_EQ(in.total(in.tagBusyCycles), 4u * 3u);
+}
+
+TEST(CritPathAccountant, BroadcastChargeEqualsPerTargetCharges)
+{
+    // Oracle: over random placements (idle cores and VMs at or above
+    // the host row included) and random target sets, one charge per
+    // broadcast leaves the matrices exactly as charging each target
+    // to the VM on its core would.
+    constexpr std::uint32_t kVms = 5;   // dim 6, host row 5
+    constexpr std::uint32_t kCores = 64;
+    constexpr std::uint32_t kSetVms = 8; // VMs 5..7 land on the host
+    constexpr Tick kTagCycles = 3;
+    std::mt19937_64 rng(2024);
+    for (int trial = 0; trial < 20; ++trial) {
+        CritPathAccountant acct(kVms, kTagCycles);
+        std::vector<CoreSet> vm_cores(kSetVms);
+        std::vector<VmId> vm_at(kCores, kInvalidVm);
+        for (CoreId c = 0; c < kCores; ++c) {
+            if (rng() % 4 == 0)
+                continue; // idle
+            auto vm = static_cast<VmId>(rng() % kSetVms);
+            vm_at[c] = vm;
+            vm_cores[vm].add(c);
+        }
+        // A trial without the sets charges every target as idle.
+        bool unset = trial == 0;
+        if (!unset)
+            acct.setVmCores(&vm_cores);
+
+        std::uint32_t dim = acct.dim();
+        std::vector<std::uint64_t> expect(std::size_t{dim} * dim, 0);
+        std::uint64_t off_diag = 0;
+        for (int b = 0; b < 200; ++b) {
+            VmId requester = b % 7 == 0 ? kInvalidVm
+                                        : static_cast<VmId>(rng() % kSetVms);
+            std::uint64_t mask = rng();
+            if (b % 5 == 0)
+                mask &= rng(); // sparser sets
+            if (b % 11 == 0)
+                mask = 0;
+            CoreSet targets = CoreSet::fromMask(mask);
+            acct.snoopBroadcast(requester, targets);
+            targets.forEach([&](CoreId t) {
+                VmId target_vm = unset ? kInvalidVm : vm_at[t];
+                std::uint32_t row = acct.rowFor(requester);
+                std::uint32_t col = acct.rowFor(target_vm);
+                expect[std::size_t{row} * dim + col]++;
+                if (row != col)
+                    off_diag++;
+            });
+        }
+        InterferenceSnapshot in = acct.interferenceSnapshot();
+        std::uint64_t total = 0;
+        for (std::uint32_t r = 0; r < dim; ++r) {
+            for (std::uint32_t c = 0; c < dim; ++c) {
+                std::uint64_t want = expect[std::size_t{r} * dim + c];
+                EXPECT_EQ(acct.lookupAt(r, c), want)
+                    << "trial " << trial << " [" << r << "][" << c << "]";
+                EXPECT_EQ(in.at(in.tagBusyCycles, r, c), want * kTagCycles)
+                    << "trial " << trial << " [" << r << "][" << c << "]";
+                total += want;
+            }
+        }
+        EXPECT_EQ(acct.lookupsTotal.value(), total) << "trial " << trial;
+        EXPECT_EQ(acct.lookupsOffDiag.value(), off_diag) << "trial " << trial;
+    }
 }
 
 TEST(CritPathAccountant, BytesDeliveredAndReset)

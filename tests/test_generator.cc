@@ -67,14 +67,20 @@ TEST(Generator, PageTypesMatchCategories)
     VmId b = hv.createVm(1);
     AppProfile profile = testProfile();
     profile.contentWriteFraction = 0.0; // keep sharing intact
+    profile.channelFraction = 0.05;     // a talks to its partner b
     declareContentPages(hv, a, profile);
     declareContentPages(hv, b, profile);
     hv.runContentScan();
 
     VcpuWorkload w(hv, a, 0, profile, 7);
+    int channel_steps = 0;
     for (int i = 0; i < 20000; ++i) {
         VcpuWorkload::Step s = w.next();
         switch (s.category) {
+          case AccessCategory::Channel:
+            EXPECT_EQ(s.access.pageType, PageType::RwShared);
+            channel_steps++;
+            break;
           case AccessCategory::Private:
             EXPECT_EQ(s.access.pageType, PageType::VmPrivate);
             break;
@@ -93,6 +99,7 @@ TEST(Generator, PageTypesMatchCategories)
         EXPECT_EQ(s.access.vm, a);
         EXPECT_GE(s.gap, 1u);
     }
+    EXPECT_GT(channel_steps, 0);
 }
 
 TEST(Generator, ContentPagesAreSharedAcrossVms)

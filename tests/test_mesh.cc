@@ -366,20 +366,24 @@ expectMulticastEqualsSends(Network &seq, Network &multi, std::uint32_t bytes,
         }
         bool with_info = round % 2 == 0;
         Tick expect[CoreSet::kMaxCores] = {};
+        Tick expect_last = 0;
         SendInfo sum;
         dsts.forEach([&](CoreId d) {
             SendInfo one;
             expect[d] = seq.send(src, d, bytes, MsgClass::Request, now,
                                  with_info ? &one : nullptr);
+            expect_last = std::max(expect_last, expect[d]);
             sum.hops += one.hops;
             sum.queueWait += one.queueWait;
         });
         Tick got[CoreSet::kMaxCores] = {};
         SendInfo info{999, 999};
-        multi.multicast(src, dsts, bytes, MsgClass::Request, now, got,
-                        with_info ? &info : nullptr);
+        Tick last = multi.multicast(src, dsts, bytes, MsgClass::Request, now,
+                                    got, with_info ? &info : nullptr);
         for (std::size_t d = 0; d < CoreSet::kMaxCores; ++d)
             EXPECT_EQ(got[d], expect[d]) << at << " dst " << d;
+        // The latest arrival, self-loopback included; 0 when empty.
+        EXPECT_EQ(last, expect_last) << at;
         if (with_info) {
             EXPECT_EQ(info.hops, sum.hops) << at;
             EXPECT_EQ(info.queueWait, sum.queueWait) << at;

@@ -9,6 +9,7 @@
  */
 
 #include <algorithm>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -89,6 +90,97 @@ TEST(PageMon, ChargesAndSnapshotsSorted)
     EXPECT_EQ(pg.cells[0].byVm[0], 2u);
     EXPECT_EQ(pg.cells[0].byVm[1], 1u);
     EXPECT_EQ(pg.cells[0].byVm[2], 0u);
+}
+
+TEST(PageMon, BroadcastChargeEqualsPerTargetCharges)
+{
+    // Oracle: one charge per broadcast equals charging each target
+    // alone: a lookup in the requester's byVm row, cross-VM when the
+    // VM on the target's core (kInvalidVm when idle) is not the
+    // requester.  Placements, requesters (hypervisor and VMs past
+    // the host row included) and target sets are random.
+    constexpr std::uint32_t kVms = 4; // byVm rows 5, host row 4
+    constexpr std::uint32_t kCores = 64;
+    constexpr std::uint32_t kSetVms = 6;
+    constexpr std::uint64_t kPages = 8;
+    std::mt19937_64 rng(77);
+    for (int trial = 0; trial < 20; ++trial) {
+        PageMon pm(kVms, 16); // never full: no eviction
+        std::vector<CoreSet> vm_cores(kSetVms);
+        std::vector<VmId> vm_at(kCores, kInvalidVm);
+        for (CoreId c = 0; c < kCores; ++c) {
+            if (rng() % 4 == 0)
+                continue; // idle
+            auto vm = static_cast<VmId>(rng() % kSetVms);
+            vm_at[c] = vm;
+            vm_cores[vm].add(c);
+        }
+        // A trial without the sets charges every target as idle.
+        bool unset = trial == 0;
+        if (!unset)
+            pm.setVmCores(&vm_cores);
+
+        struct Expect
+        {
+            std::uint64_t lookups = 0;
+            std::uint64_t crossVm = 0;
+            std::vector<std::uint64_t> byVm =
+                std::vector<std::uint64_t>(kVms + 1, 0);
+        };
+        std::vector<Expect> expect(kPages);
+        std::vector<bool> touched(kPages, false);
+        std::uint64_t cross_total = 0;
+        for (int b = 0; b < 300; ++b) {
+            VmId requester = b % 7 == 0 ? kInvalidVm
+                                        : static_cast<VmId>(rng() % kSetVms);
+            std::uint64_t page = rng() % kPages;
+            std::uint64_t mask = rng();
+            if (b % 5 == 0)
+                mask &= rng();
+            if (b % 11 == 0)
+                mask = 0;
+            CoreSet targets = CoreSet::fromMask(mask);
+            pm.snoopBroadcast(HostAddr((page << kPageShift) + kLineBytes),
+                              requester, targets);
+            targets.forEach([&](CoreId t) {
+                touched[page] = true;
+                Expect &e = expect[page];
+                e.lookups++;
+                e.byVm[requester < kVms ? requester : kVms]++;
+                VmId target_vm = unset ? kInvalidVm : vm_at[t];
+                if (target_vm != requester) {
+                    e.crossVm++;
+                    cross_total++;
+                }
+            });
+        }
+        PagesSnapshot pg = pm.snapshot();
+        std::uint64_t total = 0;
+        std::size_t cells = 0;
+        for (std::uint64_t page = 0; page < kPages; ++page) {
+            const Expect &e = expect[page];
+            total += e.lookups;
+            auto it = std::find_if(pg.cells.begin(), pg.cells.end(),
+                                   [&](const PageCell &cell) {
+                                       return cell.pageNum == page;
+                                   });
+            // An empty broadcast touches no cell.
+            ASSERT_EQ(it != pg.cells.end(), touched[page])
+                << "trial " << trial << " page " << page;
+            if (!touched[page])
+                continue;
+            cells++;
+            EXPECT_EQ(it->lookups, e.lookups) << "trial " << trial;
+            EXPECT_EQ(it->crossVm, e.crossVm) << "trial " << trial;
+            EXPECT_EQ(it->byVm, e.byVm) << "trial " << trial;
+            EXPECT_EQ(it->misses, 0u);
+        }
+        EXPECT_EQ(pg.cells.size(), cells) << "trial " << trial;
+        EXPECT_EQ(pg.totalLookups, total) << "trial " << trial;
+        EXPECT_EQ(pm.lookupsCharged.value(), total) << "trial " << trial;
+        EXPECT_EQ(pm.crossVmLookups.value(), cross_total)
+            << "trial " << trial;
+    }
 }
 
 TEST(PageMon, EvictionFoldsWholeCellIntoRemainder)

@@ -309,6 +309,25 @@ TEST(LatencyHistogram, MomentsTrackSamples)
     EXPECT_EQ(h.sum(), 0u);
 }
 
+TEST(LatencyHistogram, WeightedSampleEqualsRepeatedSamples)
+{
+    LatencyHistogram weighted;
+    LatencyHistogram repeated;
+    weighted.sample(7, 0); // no samples: min stays unset
+    EXPECT_EQ(weighted.count(), 0u);
+    for (std::uint64_t value : {0u, 5u, 300u}) {
+        weighted.sample(value, 4);
+        for (int i = 0; i < 4; ++i)
+            repeated.sample(value);
+    }
+    EXPECT_EQ(weighted.count(), repeated.count());
+    EXPECT_EQ(weighted.sum(), repeated.sum());
+    EXPECT_EQ(weighted.min(), repeated.min());
+    EXPECT_EQ(weighted.max(), repeated.max());
+    for (std::size_t i = 0; i < LatencyHistogram::kNumBuckets; ++i)
+        EXPECT_EQ(weighted.bucketHits(i), repeated.bucketHits(i)) << i;
+}
+
 TEST(LatencyHistogram, QuantilesAnswerFromBucketEdges)
 {
     LatencyHistogram h;

@@ -3,6 +3,10 @@
  * Unit tests for the vCPU-to-core mapping and the shuffle migrator.
  */
 
+#include <random>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "virt/vcpu_map.hh"
@@ -38,6 +42,32 @@ class LoggingListener : public VcpuMappingListener
 
     std::vector<Entry> log;
 };
+
+/** The per-VM core sets partition the placed cores and agree with
+ *  vmAt() and coresRunning() for every core and VM. */
+void
+expectVmCoreSetsMatch(const VcpuMapping &map, const std::string &where)
+{
+    const std::vector<CoreSet> &sets = map.vmCoreSets();
+    CoreSet placed;
+    std::size_t members = 0;
+    for (std::size_t vm = 0; vm < sets.size(); ++vm) {
+        EXPECT_EQ(map.coresRunning(static_cast<VmId>(vm)), sets[vm])
+            << where << " vm " << vm;
+        placed |= sets[vm];
+        members += sets[vm].count();
+    }
+    EXPECT_EQ(members, placed.count()) << where << ": sets overlap";
+    for (CoreId c = 0; c < map.numCores(); ++c) {
+        VmId vm = map.vmAt(c);
+        EXPECT_EQ(placed.contains(c), vm != kInvalidVm)
+            << where << " core " << c;
+        if (vm != kInvalidVm) {
+            ASSERT_LT(vm, sets.size()) << where;
+            EXPECT_TRUE(sets[vm].contains(c)) << where << " core " << c;
+        }
+    }
+}
 
 } // namespace
 
@@ -93,6 +123,64 @@ TEST(VcpuMapping, CoresRunningVm)
     EXPECT_TRUE(set.contains(1));
     EXPECT_TRUE(set.contains(6));
     EXPECT_FALSE(set.contains(2));
+}
+
+TEST(VcpuMapping, VmCoreSetsTrackPlacements)
+{
+    // Random place / removeFromCore / swap, then ShuffleMigrator
+    // steps, on 64 cores; VM ids leave a gap (no VM 4) and some
+    // cores stay idle.
+    VcpuMapping map(64);
+    std::vector<VCpuId> vcpus;
+    for (VmId vm : {0, 1, 2, 3, 5, 6}) {
+        for (int i = 0; i < 8; ++i)
+            vcpus.push_back(map.addVcpu(vm));
+    }
+    EXPECT_TRUE(map.coresRunning(4).empty());
+    EXPECT_TRUE(map.coresRunning(kInvalidVm).empty());
+    std::mt19937_64 rng(5);
+    auto freeCore = [&]() {
+        for (;;) {
+            auto c = static_cast<CoreId>(rng() % map.numCores());
+            if (map.vcpuAt(c) == kInvalidVCpu)
+                return c;
+        }
+    };
+    for (int op = 0; op < 3000; ++op) {
+        VCpuId a = vcpus[rng() % vcpus.size()];
+        VCpuId b = vcpus[rng() % vcpus.size()];
+        switch (rng() % 3) {
+          case 0:
+            if (map.coreOf(a) == kInvalidCore)
+                map.place(a, freeCore());
+            break;
+          case 1:
+            map.removeFromCore(a);
+            break;
+          default:
+            if (a != b && map.coreOf(a) != kInvalidCore &&
+                map.coreOf(b) != kInvalidCore) {
+                map.swap(a, b);
+            }
+            break;
+        }
+        expectVmCoreSetsMatch(map, "op " + std::to_string(op));
+    }
+    for (VCpuId v : vcpus) {
+        if (map.coreOf(v) == kInvalidCore)
+            map.place(v, freeCore());
+    }
+    expectVmCoreSetsMatch(map, "all placed");
+
+    EventQueue eq;
+    ShuffleMigrator migrator(eq, map, 100, 11);
+    migrator.start();
+    for (Tick t = 100; t <= 20000; t += 100) {
+        eq.runUntil(t);
+        expectVmCoreSetsMatch(map, "tick " + std::to_string(t));
+    }
+    migrator.stop();
+    EXPECT_EQ(migrator.migrations.value(), 200u);
 }
 
 TEST(VcpuMapping, ListenersSeePlacementChanges)
